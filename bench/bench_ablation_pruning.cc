@@ -1,7 +1,7 @@
-// Ablation of the paper's Sec. IV-C1 U2U pruning: effect of the index
-// backend and confidence gamma on runtime and on result fidelity (pruning
-// with finite gamma may drop low-probability candidates the threshold
-// alpha would have kept).
+// Ablation of the paper's Sec. IV-C1 U2U pruning: a confidence-gamma sweep
+// of the grid pruner against the unpruned scan, on runtime and on result
+// fidelity (pruning with finite gamma may drop low-probability candidates
+// the threshold alpha would have kept).
 
 #include <chrono>
 
@@ -21,12 +21,9 @@ void Main() {
       {"configuration", "utility", "overhead", "recall", "runtime (ms/run)",
        "cells bulk", "cells skip", "boundary wkrs"});
 
-  auto report = [&](const std::string& name,
-                    std::optional<double> gamma,
-                    index::PrunerBackend backend) {
+  auto report = [&](const std::string& name, std::optional<double> gamma) {
     assign::AlgorithmParams params = MakeParams(p);
     params.pruning_gamma = gamma;
-    params.pruning_backend = backend;
     assign::MatcherHandle handle = assign::MakeProbabilisticModel(params);
     const auto start = std::chrono::steady_clock::now();
     const auto agg = OrDie(runner.Run(handle, p, p));
@@ -38,8 +35,7 @@ void Main() {
     // The cell counters separate the two ways the grid query avoids work:
     // bulk-accepted cells skip the per-member box tests entirely, skipped
     // cells never touch their members, and boundary_workers counts the
-    // members that still needed the per-member test (zero for the non-grid
-    // backends).
+    // members that still needed the per-member test (zero unpruned).
     table.AddRow(name,
                  {agg.assigned_tasks, agg.candidates, agg.recall, elapsed_ms,
                   agg.cells_bulk_accepted, agg.cells_skipped,
@@ -47,12 +43,10 @@ void Main() {
                  2);
   };
 
-  report("no pruning (full scan)", std::nullopt, index::PrunerBackend::kGrid);
+  report("no pruning (full scan)", std::nullopt);
   for (double gamma : {0.5, 0.9, 0.99}) {
-    report(StrCat("grid, gamma=", gamma), gamma, index::PrunerBackend::kGrid);
+    report(StrCat("grid, gamma=", gamma), gamma);
   }
-  report("rtree, gamma=0.9", 0.9, index::PrunerBackend::kRTree);
-  report("linear MBR scan, gamma=0.9", 0.9, index::PrunerBackend::kLinearScan);
   table.Print(std::cout);
 }
 

@@ -9,7 +9,6 @@
 #include "bench/bench_common.h"
 #include "data/beijing.h"
 #include "data/workload.h"
-#include "index/kdtree.h"
 #include "index/pruning.h"
 #include "privacy/planar_laplace.h"
 #include "reachability/analytical_model.h"
@@ -103,10 +102,9 @@ std::vector<index::UncertainRegionPruner::WorkerRegion> MakeRegions(int n) {
 }
 
 void BM_PrunerCandidates(benchmark::State& state) {
-  const auto backend = static_cast<index::PrunerBackend>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(0));
   const index::UncertainRegionPruner pruner(MakeRegions(n), kParams, kParams,
-                                            0.9, backend, data::BeijingRegion());
+                                            0.9, data::BeijingRegion());
   stats::Rng rng(4);
   const geo::BoundingBox region = data::BeijingRegion();
   for (auto _ : state) {
@@ -114,14 +112,8 @@ void BM_PrunerCandidates(benchmark::State& state) {
                           rng.UniformDouble(region.min_y, region.max_y)};
     benchmark::DoNotOptimize(pruner.Candidates(task));
   }
-  state.SetLabel(std::string(index::PrunerBackendName(backend)));
 }
-BENCHMARK(BM_PrunerCandidates)
-    ->Args({0, 5000})    // Linear scan.
-    ->Args({1, 5000})    // Grid.
-    ->Args({2, 5000})    // R-tree.
-    ->Args({1, 100000})  // Grid at engine scale.
-    ->Args({2, 100000});  // R-tree at engine scale.
+BENCHMARK(BM_PrunerCandidates)->Arg(5000)->Arg(100000);
 
 // One worker re-report against a prepared, grid-pruned stage: the service's
 // apply-phase hot path. Before GridIndex::Relocate this dropped the whole
@@ -159,26 +151,6 @@ void BM_UpdateWorkerLocation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UpdateWorkerLocation)->Arg(100000)->Arg(1000000);
-
-void BM_KdTreeNearest(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  stats::Rng rng(7);
-  const geo::BoundingBox region = data::BeijingRegion();
-  std::vector<index::KdTree::Entry> entries;
-  entries.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    entries.push_back({{rng.UniformDouble(region.min_x, region.max_x),
-                        rng.UniformDouble(region.min_y, region.max_y)},
-                       i});
-  }
-  const index::KdTree tree(std::move(entries));
-  for (auto _ : state) {
-    const geo::Point q{rng.UniformDouble(region.min_x, region.max_x),
-                       rng.UniformDouble(region.min_y, region.max_y)};
-    benchmark::DoNotOptimize(tree.Nearest(q));
-  }
-}
-BENCHMARK(BM_KdTreeNearest)->Arg(500)->Arg(5000)->Arg(50000);
 
 void BM_EndToEndAssignment(benchmark::State& state) {
   data::WorkloadConfig config;
@@ -503,8 +475,8 @@ void BM_ProbReachableBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbReachableBatch)->Arg(0)->Arg(1)->Arg(2);
 
-// End-to-end engine throughput, kernel off (0) vs on (1). Output is
-// bit-identical across the arms (tests/kernel_test.cc); only speed moves.
+// End-to-end engine throughput on the threshold kernel (its decisions are
+// held bit-identical to direct evaluation by tests/oracle_test.cc).
 void BM_ScGuardEngineKernel(benchmark::State& state) {
   data::WorkloadConfig config;
   config.num_workers = 500;
@@ -520,16 +492,14 @@ void BM_ScGuardEngineKernel(benchmark::State& state) {
   policy.worker_params = kParams;
   policy.task_params = kParams;
   policy.compute_accuracy_metrics = false;
-  policy.kernel.alpha_thresholds = state.range(0) != 0;
   assign::ScGuardEngine engine(policy);
   for (auto _ : state) {
     stats::Rng run_rng(12);
     benchmark::DoNotOptimize(engine.Run(workload, run_rng));
   }
   state.SetItemsProcessed(state.iterations() * config.num_tasks);
-  state.SetLabel(policy.kernel.alpha_thresholds ? "kernel=on" : "kernel=off");
 }
-BENCHMARK(BM_ScGuardEngineKernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScGuardEngineKernel);
 
 // Cost of the observer-only U2U ground-truth accuracy scan
 // (EnginePolicy::compute_accuracy_metrics): on (1) vs off (0).

@@ -132,10 +132,7 @@ int Main() {
         // The observer-side accuracy scan is O(workers) per task and would
         // dominate every cell; this bench measures protocol throughput.
         policy.compute_accuracy_metrics = false;
-        if (use_pruner) {
-          policy.pruning_gamma = 0.9;
-          policy.pruning_backend = index::PrunerBackend::kGrid;
-        }
+        if (use_pruner) policy.pruning_gamma = 0.9;
         policy.runtime.pool = pool.get();
         assign::ScGuardEngine engine(std::move(policy));
 

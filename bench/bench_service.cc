@@ -35,6 +35,7 @@
 #include "bench/bench_common.h"
 #include "data/beijing.h"
 #include "data/workload.h"
+#include "obs/metrics.h"
 #include "privacy/mechanism.h"
 #include "reachability/analytical_model.h"
 #include "service/service.h"
@@ -128,7 +129,6 @@ int Main() {
     config.worker_params = privacy_level;
     config.task_params = privacy_level;
     config.pruning_gamma = 0.9;
-    config.pruning_backend = index::PrunerBackend::kGrid;
     // Bounded-error U2E scoring (DESIGN.md section 8): the service point
     // trades exact per-candidate erf evaluation for LUT throughput.
     config.kernel.u2e_lut = true;
@@ -266,6 +266,20 @@ int Main() {
         (long long)(ingest.tasks_rejected + ingest.reports_rejected),
         (long long)ingest.epochs, svc.drain_seconds());
     (void)submitted;
+  }
+
+  // The service runs the engine's TaskPipeline, so the engine's per-stage
+  // histograms (also in the JSON metrics block) cover its scans.
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  std::printf("\nengine stages over all points (ms):\n");
+  for (const char* stage : {"u2u", "u2e", "e2e"}) {
+    const auto it =
+        snapshot.histograms.find(StrCat("scguard.engine.", stage, "_seconds"));
+    if (it == snapshot.histograms.end()) continue;
+    std::printf("  %s  p50 %8.3f  p99 %8.3f  (%lld tasks)\n", stage,
+                it->second.p50 * 1e3, it->second.p99 * 1e3,
+                (long long)it->second.count);
   }
 
   std::printf(

@@ -37,12 +37,11 @@ struct AlgorithmParams {
   BetaMode beta_mode = BetaMode::kEveryContact;
   int redundancy_k = 1;
   std::optional<double> pruning_gamma;  ///< Enable Sec. IV-C1 pruning.
-  index::PrunerBackend pruning_backend = index::PrunerBackend::kGrid;
   reachability::AnalyticalMode analytical_mode =
       reachability::AnalyticalMode::kPaperNormalApprox;
   /// Evaluation-kernel knobs, forwarded to EnginePolicy::kernel.
   reachability::KernelOptions kernel;
-  /// Parallel-scan / active-set knobs, forwarded to EnginePolicy::runtime.
+  /// Parallel-scan knobs, forwarded to EnginePolicy::runtime.
   EngineRuntime runtime;
 };
 

@@ -60,6 +60,8 @@ struct EnginePolicy {
   /// (paper Sec. IV-C1) at this confidence gamma before evaluating
   /// probabilities.
   std::optional<double> pruning_gamma;
+  /// Always kGrid, the only backend; the field stays because existing
+  /// callers assign it.
   index::PrunerBackend pruning_backend = index::PrunerBackend::kGrid;
 
   /// Privacy levels, needed to size the pruning rectangles. Must match the
@@ -68,13 +70,11 @@ struct EnginePolicy {
   privacy::PrivacyParams task_params;
 
   /// Evaluation-kernel knobs (DESIGN.md section 8). Defaults keep the
-  /// exact threshold-inversion U2U filter on (bit-identical assignments,
-  /// verified by tests/kernel_test.cc) and the bounded-error U2E LUT off.
+  /// bounded-error U2E LUT off.
   reachability::KernelOptions kernel;
 
-  /// Parallel-scan and active-set knobs (DESIGN.md section 9). Defaults
-  /// keep compaction on and the scan serial; thread-count invariance is
-  /// held by tests/engine_parallel_test.cc.
+  /// Parallel-scan knobs (DESIGN.md section 9). Defaults keep the scan
+  /// serial; thread-count invariance is held by tests/oracle_test.cc.
   EngineRuntime runtime;
 
   /// Display name override; empty derives one from model + strategy.
@@ -87,10 +87,10 @@ struct EnginePolicy {
 ///   U2E  requester: exact task + noisy worker locations -> ranked contacts
 ///   E2E  worker:    exact task location -> accept iff d(w, t) <= R_w
 /// The engine implements Algorithms 1 and 2 of the paper depending on the
-/// policy (see EnginePolicy). Since the stage-library refactor (DESIGN.md
-/// section 10) it is a thin orchestrator: the three protocol stages live in
-/// assign/stages/ (U2uCandidateStage, U2eRankStage, E2eContactStage) and the
-/// engine contributes run setup, timing, and metric/obs accounting.
+/// policy (see EnginePolicy). It is a thin orchestrator: the per-task
+/// protocol body and all its accounting live in TaskPipeline (DESIGN.md
+/// section 16), shared with service::AssignmentService; the engine adds
+/// the workload's workers, prepares, and loops over its tasks.
 class ScGuardEngine final : public OnlineMatcher {
  public:
   /// Requires a U2U model; a U2E model is required for probability ranking.

@@ -11,10 +11,11 @@
 
 namespace scguard::assign {
 
+// The threshold cache checks the model and alpha.
 U2uCandidateStage::U2uCandidateStage(Config config)
-    : config_(std::move(config)) {
-  SCGUARD_CHECK(config_.model != nullptr);
-  SCGUARD_CHECK(config_.alpha > 0.0 && config_.alpha <= 1.0);
+    : config_(std::move(config)),
+      thresholds_(config_.model, reachability::Stage::kU2U, config_.alpha,
+                  config_.kernel.threshold_margin) {
   SCGUARD_CHECK(config_.runtime.shard_size >= 1);
 }
 
@@ -48,33 +49,24 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
   soa_.x[worker] = noisy_location.x;
   soa_.y[worker] = noisy_location.y;
   // The certain-band bounds depend only on the (unchanged) reach radius,
-  // so the threshold prewarm stays valid. A pruning index anchors its
-  // rectangle at the old location: the grid and linear backends relocate
+  // so the threshold prewarm stays valid. A built pruning index relocates
   // the entry in place (O(cell) with the mirror kept in sync through the
   // slice listener — the mutation the service loop amortizes, DESIGN.md
-  // §14); only backends without native relocation drop the index for a
-  // lazy rebuild at the next Prepare.
-  if (config_.pruning.has_value()) {
-    if (pruner_ != nullptr &&
-        pruner_->Relocate(static_cast<int64_t>(worker), noisy_location)) {
-      return;
-    }
-    mirror_.ForgetGrid();
-    pruner_.reset();
+  // §14); an unbuilt one is built from the SoA at the next Prepare.
+  if (pruner_ != nullptr) {
+    pruner_->Relocate(static_cast<int64_t>(worker), noisy_location);
   }
 }
 
 void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   if (!soa_.matched[worker]) return;
   soa_.matched[worker] = 0;
-  if (!config_.runtime.active_set) return;
   // Undo MarkMatched's active-set maintenance: re-insert into the pruning
   // index, or splice the id back into its shard's ascending active list.
   if (pruner_ != nullptr) {
-    if (!pruner_->Restore(static_cast<int64_t>(worker))) {
-      mirror_.ForgetGrid();
-      pruner_.reset();  // Rebuilt over current data at the next Prepare.
-    }
+    pruner_->Restore(static_cast<int64_t>(worker),
+                     {soa_.x[worker], soa_.y[worker]},
+                     soa_.reach_radius_m[worker]);
   } else if (prepared_ && !config_.pruning.has_value()) {
     std::vector<uint32_t>& active =
         shard_active_[worker / static_cast<size_t>(config_.runtime.shard_size)];
@@ -123,19 +115,13 @@ void U2uCandidateStage::Prepare() {
   // Threshold prewarm: filling accept/reject_sq also memoizes the cache for
   // every worker radius, which the parallel band resolution relies on
   // (AlphaThresholdCache::Lookup is the read-only path).
-  if (config_.kernel.alpha_thresholds) {
-    if (!thresholds_.has_value()) {
-      thresholds_.emplace(config_.model, reachability::Stage::kU2U,
-                          config_.alpha, config_.kernel.threshold_margin);
-    }
-    soa_.accept_below_sq.resize(n);
-    soa_.reject_above_sq.resize(n);
-    for (size_t i = warm_; i < n; ++i) {
-      const reachability::AlphaThreshold& t =
-          thresholds_->For(soa_.reach_radius_m[i]);
-      soa_.accept_below_sq[i] = t.accept_below_sq;
-      soa_.reject_above_sq[i] = t.reject_above_sq;
-    }
+  soa_.accept_below_sq.resize(n);
+  soa_.reject_above_sq.resize(n);
+  for (size_t i = warm_; i < n; ++i) {
+    const reachability::AlphaThreshold& t =
+        thresholds_.For(soa_.reach_radius_m[i]);
+    soa_.accept_below_sq[i] = t.accept_below_sq;
+    soa_.reject_above_sq[i] = t.reject_above_sq;
   }
 
   if (config_.pruning.has_value()) {
@@ -149,26 +135,17 @@ void U2uCandidateStage::Prepare() {
                            soa_.reach_radius_m[i]});
       }
       pruner_ = std::make_unique<index::UncertainRegionPruner>(
-          std::move(regions), p.worker_params, p.task_params, p.gamma,
-          p.backend, p.region);
-      if (config_.runtime.active_set) {
-        // Re-apply removals for workers matched before the (re)build.
-        for (size_t i = 0; i < n; ++i) {
-          if (soa_.matched[i]) pruner_->Remove(static_cast<int64_t>(i));
-        }
+          regions, p.worker_params, p.task_params, p.gamma, p.region);
+      // Re-apply removals for workers matched before the (re)build.
+      for (size_t i = 0; i < n; ++i) {
+        if (soa_.matched[i]) pruner_->Remove(static_cast<int64_t>(i));
       }
     }
-    // Pruned runs partition the index's candidate list across the same
-    // fixed-size shards as the brute scan (DESIGN.md §11), so they need the
-    // full scratch set — but not shard_active_, which only the brute path
-    // reads.
-    const auto shard_size = static_cast<size_t>(config_.runtime.shard_size);
-    shards_.resize(n > 0 ? (n + shard_size - 1) / shard_size : 0);
     // The mirror attaches after the threshold prewarm above (it copies the
     // per-worker certain bands) and after the grid is final for this
     // Prepare. A pruner rebuilt since the last attach has a fresh grid, so
     // re-attach whenever the association is gone (ForgetGrid cleared it).
-    if (UseMirror() && mirror_.grid() != pruner_->grid()) {
+    if (mirror_.grid() != pruner_->grid()) {
       mirror_.Attach(pruner_->grid(), &soa_);
     }
   } else if (warm_ == 0) {
@@ -191,58 +168,46 @@ void U2uCandidateStage::Prepare() {
   prepared_ = true;
 }
 
-void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
-                                    size_t count, ShardScratch& sc) const {
-  sc.out.clear();
-  sc.scanned = static_cast<int64_t>(count);
-  if (thresholds_.has_value()) {
-    // Branch-free trichotomy over the contiguous SoA arrays, then one
-    // direct evaluation per in-band worker — the same decision as
-    // AlphaThresholdCache::IsCandidate, inlined so the shared cache is
-    // never mutated from a pool worker.
-    reachability::ClassifyCertainBand(soa_, idx, count, task_noisy.x,
-                                      task_noisy.y, sc.accept, sc.band);
-    size_t kept = 0;
-    for (const uint32_t i : sc.band) {
-      const reachability::AlphaThreshold* t =
-          thresholds_->Lookup(soa_.reach_radius_m[i]);
-      SCGUARD_CHECK(t != nullptr);
-      const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-      bool is_candidate;
-      if (d <= t->accept_below_m) {
-        is_candidate = true;
-      } else if (d >= t->reject_above_m) {
-        is_candidate = false;
-      } else {
-        ++sc.band_evals;
-        is_candidate = config_.model->ProbReachable(
-                           reachability::Stage::kU2U, d,
-                           soa_.reach_radius_m[i]) >= config_.alpha;
-      }
-      sc.band[kept] = i;
-      kept += is_candidate ? 1 : 0;
+void U2uCandidateStage::ResolveBand(geo::Point task_noisy,
+                                    ShardScratch& sc) const {
+  size_t kept = 0;
+  for (const uint32_t i : sc.band) {
+    const reachability::AlphaThreshold* t =
+        thresholds_.Lookup(soa_.reach_radius_m[i]);
+    SCGUARD_CHECK(t != nullptr);
+    const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
+    bool is_candidate;
+    if (d <= t->accept_below_m) {
+      is_candidate = true;
+    } else if (d >= t->reject_above_m) {
+      is_candidate = false;
+    } else {
+      ++sc.band_evals;
+      is_candidate = config_.model->ProbReachable(reachability::Stage::kU2U,
+                                                  d, soa_.reach_radius_m[i]) >=
+                     config_.alpha;
     }
-    sc.band.resize(kept);
-    // Both lists are ascending subsets of the input, so one merge restores
-    // the serial scan's candidate order.
-    sc.out.resize(sc.accept.size() + sc.band.size());
-    std::merge(sc.accept.begin(), sc.accept.end(), sc.band.begin(),
-               sc.band.end(), sc.out.begin());
-  } else {
-    for (size_t k = 0; k < count; ++k) {
-      const uint32_t i = idx[k];
-      const double d_obs = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-      const double p = config_.model->ProbReachable(
-          reachability::Stage::kU2U, d_obs, soa_.reach_radius_m[i]);
-      if (p >= config_.alpha) sc.out.push_back(i);
-    }
+    sc.band[kept] = i;
+    kept += is_candidate ? 1 : 0;
   }
+  sc.band.resize(kept);
 }
 
-bool U2uCandidateStage::UseMirror() const {
-  return config_.runtime.cell_mirror && config_.runtime.active_set &&
-         config_.kernel.alpha_thresholds && config_.pruning.has_value() &&
-         config_.pruning->backend == index::PrunerBackend::kGrid;
+void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
+                                    size_t count, ShardScratch& sc) const {
+  sc.scanned = static_cast<int64_t>(count);
+  // Branch-free trichotomy over the contiguous SoA arrays, then one direct
+  // evaluation per in-band worker — the same decision as
+  // AlphaThresholdCache::IsCandidate, inlined so the shared cache is never
+  // mutated from a pool worker.
+  reachability::ClassifyCertainBand(soa_, idx, count, task_noisy.x,
+                                    task_noisy.y, sc.accept, sc.band);
+  ResolveBand(task_noisy, sc);
+  // Both lists are ascending subsets of the input, so one merge restores
+  // the serial scan's candidate order.
+  sc.out.resize(sc.accept.size() + sc.band.size());
+  std::merge(sc.accept.begin(), sc.accept.end(), sc.band.begin(),
+             sc.band.end(), sc.out.begin());
 }
 
 void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
@@ -294,31 +259,9 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
       sc.gather_bytes += static_cast<int64_t>(visit.count) * 44;
     }
   }
-  // Band resolution — the same per-worker decision as ScanIndices, so the
-  // mirror and gather paths agree bit for bit (and count the same
-  // band_evals).
-  size_t kept = 0;
-  for (const uint32_t i : sc.band) {
-    const reachability::AlphaThreshold* t =
-        thresholds_->Lookup(soa_.reach_radius_m[i]);
-    SCGUARD_CHECK(t != nullptr);
-    const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-    bool is_candidate;
-    if (d <= t->accept_below_m) {
-      is_candidate = true;
-    } else if (d >= t->reject_above_m) {
-      is_candidate = false;
-    } else {
-      ++sc.band_evals;
-      is_candidate =
-          config_.model->ProbReachable(reachability::Stage::kU2U, d,
-                                       soa_.reach_radius_m[i]) >=
-          config_.alpha;
-    }
-    sc.band[kept] = i;
-    kept += is_candidate ? 1 : 0;
-  }
-  sc.band.resize(kept);
+  // Band resolution — the same per-worker decision as the unpruned scan,
+  // so both paths agree bit for bit (and count the same band_evals).
+  ResolveBand(task_noisy, sc);
   // Chunk output order is irrelevant (the bitmap union restores ascending
   // order), so survivors just append.
   sc.accept.insert(sc.accept.end(), sc.band.begin(), sc.band.end());
@@ -368,7 +311,7 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
 
   // Union the chunks' accepted ids through a dense bitmap and read it back
   // in word order: an order-independent set union, so the ascending result
-  // equals the gather path's ascending concatenation no matter how cells
+  // equals the unpruned scan's ascending concatenation no matter how cells
   // were chunked.
   mirror_bits_.assign((n + 63) / 64, 0);
   size_t hits = 0;
@@ -395,113 +338,27 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
   }
 }
 
-const std::vector<uint32_t>& U2uCandidateStage::Collect(
-    geo::Point task_noisy_location) {
-  Prepare();
-  const size_t n = soa_.size();
-  const EngineRuntime& rt = config_.runtime;
-  candidates_.clear();
-  stats_.scanned_last = 0;
-  stats_.pruned_last = 0;
-
-  if (pruner_ != nullptr && UseMirror()) {
-    CollectMirror(task_noisy_location);
-    return candidates_;
-  }
-
-  if (pruner_ != nullptr) {
-    // The index query itself stays serial (sub-linear, and it owns mutable
-    // merge scratch); the classification work it feeds is what fans out.
-    pruner_->Candidates(task_noisy_location, pruner_ids_);
-    stats_.pruned_last = static_cast<int64_t>(n) -
-                         static_cast<int64_t>(pruner_ids_.size());
-    // Partition the ascending id list into per-shard segments using the
-    // same fixed boundaries as the brute scan (shard of id = id /
-    // shard_size — depends only on (n, shard_size), never the pool), then
-    // fan the non-empty segments over the pool and concatenate their
-    // outputs in segment order. Segments are ascending and disjoint, so
-    // the result reproduces the old serial whole-list scan bit for bit.
-    const auto shard_size = static_cast<size_t>(rt.shard_size);
-    const size_t m = pruner_ids_.size();
-    segments_.clear();
-    for (size_t pos = 0; pos < m;) {
-      const size_t shard = static_cast<size_t>(pruner_ids_[pos]) / shard_size;
-      const auto shard_end = static_cast<int64_t>((shard + 1) * shard_size);
-      size_t end = pos + 1;
-      while (end < m && pruner_ids_[end] < shard_end) ++end;
-      segments_.push_back({shard, pos, end});
-      pos = end;
-    }
-    const Status scan_status = runtime::ParallelFor(
-        rt.pool, 0, static_cast<int64_t>(segments_.size()), /*grain=*/1,
-        [&](int64_t lo, int64_t hi) -> Status {
-          for (int64_t j = lo; j < hi; ++j) {
-            const Segment& seg = segments_[static_cast<size_t>(j)];
-            ShardScratch& sc = shards_[seg.shard];
-            sc.live.clear();
-            if (rt.active_set) {
-              // MarkMatched removed matched workers from the index, so the
-              // query result is already the live set.
-              for (size_t k = seg.begin; k < seg.end; ++k) {
-                sc.live.push_back(static_cast<uint32_t>(pruner_ids_[k]));
-              }
-            } else {
-              for (size_t k = seg.begin; k < seg.end; ++k) {
-                const auto i = static_cast<size_t>(pruner_ids_[k]);
-                if (!soa_.matched[i]) {
-                  sc.live.push_back(static_cast<uint32_t>(i));
-                }
-              }
-            }
-            ScanIndices(task_noisy_location, sc.live.data(), sc.live.size(),
-                        sc);
-          }
-          return Status::OK();
-        });
-    SCGUARD_CHECK(scan_status.ok());
-    // Segment order == ascending id order; untouched shards keep stale
-    // scratch from earlier tasks, so only this task's segments reduce.
-    for (const Segment& seg : segments_) {
-      const ShardScratch& sc = shards_[seg.shard];
-      candidates_.insert(candidates_.end(), sc.out.begin(), sc.out.end());
-      stats_.scanned_last += sc.scanned;
-      // Traffic model: each gathered worker touches one scattered cache
-      // line per SoA stream (x, y, accept_sq, reject_sq).
-      stats_.gather_bytes += sc.scanned * 256;
-    }
-    return candidates_;
-  }
-
-  const auto num_shards = static_cast<int64_t>(shards_.size());
+void U2uCandidateStage::CollectShards(geo::Point task_noisy_location) {
   const Status scan_status = runtime::ParallelFor(
-      rt.pool, 0, num_shards, /*grain=*/1,
-      [&](int64_t lo, int64_t hi) -> Status {
-        for (int64_t s = lo; s < hi; ++s) {
-          std::vector<uint32_t>& active = shard_active_[static_cast<size_t>(s)];
-          ShardScratch& sc = shards_[static_cast<size_t>(s)];
-          if (rt.active_set) {
-            if (shard_dirty_[static_cast<size_t>(s)]) {
-              // Stage-boundary rebuild from matched[]: a stable filter, so
-              // the shard stays ascending and the next scan touches only
-              // available workers.
-              active.erase(
-                  std::remove_if(
-                      active.begin(), active.end(),
-                      [&](uint32_t i) { return soa_.matched[i] != 0; }),
-                  active.end());
-              shard_dirty_[static_cast<size_t>(s)] = 0;
-              ++sc.compactions;
-            }
-            ScanIndices(task_noisy_location, active.data(), active.size(), sc);
-          } else {
-            // Legacy full scan: the matched filter runs per task.
-            sc.live.clear();
-            for (const uint32_t i : active) {
-              if (!soa_.matched[i]) sc.live.push_back(i);
-            }
-            ScanIndices(task_noisy_location, sc.live.data(), sc.live.size(),
-                        sc);
+      config_.runtime.pool, 0, static_cast<int64_t>(shards_.size()),
+      /*grain=*/1, [&](int64_t lo, int64_t hi) -> Status {
+        for (int64_t j = lo; j < hi; ++j) {
+          const auto s = static_cast<size_t>(j);
+          std::vector<uint32_t>& active = shard_active_[s];
+          ShardScratch& sc = shards_[s];
+          if (shard_dirty_[s]) {
+            // Stage-boundary rebuild from matched[]: a stable filter, so the
+            // shard stays ascending and the next scan touches only available
+            // workers.
+            active.erase(std::remove_if(active.begin(), active.end(),
+                                        [&](uint32_t i) {
+                                          return soa_.matched[i] != 0;
+                                        }),
+                         active.end());
+            shard_dirty_[s] = 0;
+            ++sc.compactions;
           }
+          ScanIndices(task_noisy_location, active.data(), active.size(), sc);
         }
         return Status::OK();
       });
@@ -513,6 +370,19 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
     // Traffic model: the brute scan streams the four packed doubles.
     stats_.gather_bytes += sc.scanned * 32;
   }
+}
+
+const std::vector<uint32_t>& U2uCandidateStage::Collect(
+    geo::Point task_noisy_location) {
+  Prepare();
+  candidates_.clear();
+  stats_.scanned_last = 0;
+  stats_.pruned_last = 0;
+  if (pruner_ != nullptr) {
+    CollectMirror(task_noisy_location);
+  } else {
+    CollectShards(task_noisy_location);
+  }
   return candidates_;
 }
 
@@ -520,23 +390,16 @@ bool U2uCandidateStage::Decide(uint32_t worker,
                                geo::Point task_noisy_location) {
   Prepare();
   const geo::Point noisy{soa_.x[worker], soa_.y[worker]};
-  const double r = soa_.reach_radius_m[worker];
-  if (thresholds_.has_value()) {
-    const double d_sq = geo::SquaredDistance(noisy, task_noisy_location);
-    if (d_sq >= soa_.reject_above_sq[worker]) return false;  // No sqrt.
-    // Certain accept needs no eval; only the band pays IsCandidate.
-    return d_sq <= soa_.accept_below_sq[worker] ||
-           thresholds_->IsCandidate(geo::Distance(noisy, task_noisy_location),
-                                    r);
-  }
-  const double d_obs = geo::Distance(noisy, task_noisy_location);
-  return config_.model->ProbReachable(reachability::Stage::kU2U, d_obs, r) >=
-         config_.alpha;
+  const double d_sq = geo::SquaredDistance(noisy, task_noisy_location);
+  if (d_sq >= soa_.reject_above_sq[worker]) return false;  // No sqrt.
+  // Certain accept needs no eval; only the band pays IsCandidate.
+  return d_sq <= soa_.accept_below_sq[worker] ||
+         thresholds_.IsCandidate(geo::Distance(noisy, task_noisy_location),
+                                 soa_.reach_radius_m[worker]);
 }
 
 void U2uCandidateStage::MarkMatched(uint32_t worker) {
   soa_.matched[worker] = 1;
-  if (!config_.runtime.active_set) return;
   // Active-set maintenance: full scans compact the shard at its next scan;
   // pruned runs drop the worker from the index so queries stop returning
   // it.

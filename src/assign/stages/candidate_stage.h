@@ -24,8 +24,8 @@ namespace scguard::assign {
 /// of ExperimentConfig::runtime. The determinism contract matches the
 /// runtime layer's: for a fixed configuration and workload, the candidate
 /// stream (and hence MatchResult and the caller RNG stream) is bit-identical
-/// for every (pool, shard_size, active_set) combination — parallelism and
-/// compaction only change wall-clock.
+/// for every (pool, shard_size) combination — parallelism only changes
+/// wall-clock (held against the naive oracle in tests/oracle_test.cc).
 struct EngineRuntime {
   /// Pool the U2U scan fans its shards across. Not owned; must outlive the
   /// stage. nullptr (the default) keeps the scan serial, and
@@ -34,30 +34,13 @@ struct EngineRuntime {
   /// fan-out), so nested parallelism never deadlocks.
   runtime::ThreadPool* pool = nullptr;
 
-  /// Workers per scan shard. Fixed-size shards — never derived from the
-  /// thread count — so per-shard candidate vectors concatenate to the same
-  /// ascending id order on any pool. Smaller shards balance better once
-  /// the active set drains unevenly; 4096 keeps per-shard overhead
-  /// negligible up to millions of workers.
+  /// Workers per scan shard (and the minimum member count of one mirror
+  /// chunk). Fixed-size shards — never derived from the thread count — so
+  /// per-shard candidate vectors concatenate to the same ascending id order
+  /// on any pool. Smaller shards balance better once the active set drains
+  /// unevenly; 4096 keeps per-shard overhead negligible up to millions of
+  /// workers.
   int shard_size = 4096;
-
-  /// Maintain per-shard active-index arrays so the scan cost tracks
-  /// *available* workers: matched workers are compacted out of their shard
-  /// at the next task's scan (and removed from the pruning index when one
-  /// is active). Off = rescan all n workers per task with a matched[]
-  /// check, the legacy full-scan path; kept as a toggle for the
-  /// equivalence test and the scale bench.
-  bool active_set = true;
-
-  /// Score pruned scans through the cell-major mirror (DESIGN.md §13):
-  /// candidates come from contiguous mirror slices (range kernels +
-  /// whole-cell alpha certificates) instead of scattered SoA gathers over
-  /// the index's id list. Engages only for the grid pruning backend with
-  /// alpha thresholds and active_set on; every other configuration keeps
-  /// the gather path. Decisions, metrics, and candidate order are
-  /// bit-identical either way; the toggle exists for the equivalence test
-  /// and A/B benching.
-  bool cell_mirror = true;
 };
 
 /// The server-side U2U candidate stage (paper Alg. 1/2 Lines 1-8, DESIGN.md
@@ -65,10 +48,16 @@ struct EngineRuntime {
 /// workers are plausible candidates for this noisy task location?" with
 /// Pr(reachable | d') >= alpha. One object owns everything the scan needs —
 /// the WorkerFilterSoA snapshot, the inverted AlphaThresholdCache with its
-/// per-worker certain bands, the optional uncertainty-rectangle pruner, and
-/// the sharded active-set scan state — so every pipeline (ScGuardEngine,
-/// core::TaskingServer, sim/dynamic, BatchMatcher) shares one filter
-/// implementation and its decisions stay bit-identical across call sites.
+/// per-worker certain bands, the optional uncertainty-rectangle grid pruner
+/// with its cell-major scoring mirror, and the sharded active-set scan
+/// state — so every pipeline (TaskPipeline, core::TaskingServer,
+/// sim/dynamic, BatchMatcher) shares one filter implementation and its
+/// decisions stay bit-identical across call sites.
+///
+/// There are exactly two scan paths: without pruning, a sharded scan over
+/// per-shard active lists; with pruning, a certified cell walk over the
+/// mirror. Both decide `ProbReachable(kU2U, d, r) >= alpha` through the
+/// inverted certain bands plus one direct evaluation inside the band.
 ///
 /// Not thread-safe; Collect itself fans shards over the configured pool.
 /// Intended to be run-local (ExperimentRunner shares one matcher across
@@ -79,6 +68,8 @@ class U2uCandidateStage {
   /// present the stage queries the index instead of scanning every shard.
   struct Pruning {
     double gamma = 0.9;
+    /// Always kGrid, the only backend; the field stays because existing
+    /// callers build this struct positionally.
     index::PrunerBackend backend = index::PrunerBackend::kGrid;
     /// Privacy levels used to perturb the workload; they size the
     /// confidence rectangles.
@@ -93,10 +84,10 @@ class U2uCandidateStage {
     const reachability::ReachabilityModel* model = nullptr;
     /// U2U acceptance threshold, in (0, 1].
     double alpha = 0.1;
-    /// Kernel knobs; alpha_thresholds selects the inverted certain-band
-    /// filter (exact decisions; DESIGN.md section 8).
+    /// Kernel knobs; the U2U filter reads threshold_margin (DESIGN.md
+    /// section 8).
     reachability::KernelOptions kernel;
-    /// Sharded-scan and active-set knobs (DESIGN.md section 9).
+    /// Sharded-scan knobs (DESIGN.md section 9).
     EngineRuntime runtime;
     /// Optional pruning index over the workers' uncertainty rectangles.
     std::optional<Pruning> pruning;
@@ -109,8 +100,7 @@ class U2uCandidateStage {
     int64_t pruned_last = 0;   ///< Workers the index skipped last Collect.
     /// Modeled scoring-side memory traffic, cumulative over the stage's
     /// life (a traffic model, not a hardware counter — see EXPERIMENTS.md):
-    /// gathered workers cost one scattered cache line per SoA stream (4 x
-    /// 64 B), brute sequential scans cost the packed 32 B, mirror range
+    /// brute sequential scans cost the packed 32 B per worker, mirror range
     /// scans cost the contiguous rows actually streamed (36 B bulk / 44 B
     /// boundary), and certificate-direct cells cost only their emitted id
     /// run (4 B per id, 0 for whole-cell rejects).
@@ -148,39 +138,36 @@ class U2uCandidateStage {
   /// The U2U stage for one task: ascending indices of available workers
   /// with Pr(reachable | d(w', t')) >= alpha. The returned reference stays
   /// valid until the next Collect. Decisions are bit-identical for every
-  /// (pool, shard_size, active_set, pruning) combination.
+  /// (pool, shard_size) combination.
   const std::vector<uint32_t>& Collect(geo::Point task_noisy_location);
 
   /// Scalar membership test against one task location, ignoring
   /// availability (the batch matcher scores full bipartite feasibility).
   /// Exactly `ProbReachable(kU2U, d, r) >= alpha`, via the certain-band
-  /// compare when the threshold kernel is on.
+  /// compare.
   bool Decide(uint32_t worker, geo::Point task_noisy_location);
 
   /// Marks a worker assigned: it disappears from future Collect results.
-  /// With active_set, also compacts it out of its shard at the next scan
-  /// (or removes it from the pruning index).
+  /// Also compacts it out of its shard at the next scan (or removes it from
+  /// the pruning index).
   void MarkMatched(uint32_t worker);
 
   /// Clears one worker's matched mark so it reappears in future Collect
   /// results (service-side reactivation when a matched worker re-reports;
-  /// the whole-run analog is ResetAvailability). With active_set, restores
-  /// the worker in the pruning index / its shard's active list. No-op for
-  /// workers that are not matched.
+  /// the whole-run analog is ResetAvailability). Restores the worker in the
+  /// pruning index / its shard's active list. No-op for workers that are
+  /// not matched.
   void MarkAvailable(uint32_t worker);
 
-  bool is_matched(uint32_t worker) const {
-    return soa_.matched[worker] != 0;
-  }
   size_t size() const { return soa_.size(); }
   size_t available() const;
 
   const Stats& stats() const { return stats_; }
-  /// Cell-certification counters of a grid-backed pruning index, cumulative
-  /// over the pruner's life (nullptr without pruning or for non-grid
-  /// backends). Orchestrators feed these into RunMetrics / obs counters.
+  /// Cell-certification counters of the pruning grid, cumulative over the
+  /// pruner's life (nullptr without pruning). Orchestrators feed these into
+  /// RunMetrics / obs counters.
   const index::GridIndex::QueryStats* grid_query_stats() const {
-    return pruner_ != nullptr ? pruner_->grid_query_stats() : nullptr;
+    return pruner_ != nullptr ? &pruner_->grid_query_stats() : nullptr;
   }
   /// Direct in-band model evaluations, cumulative over the stage's life
   /// (summed across shard scratches; call once per run, not per task).
@@ -190,14 +177,12 @@ class U2uCandidateStage {
   /// The worker snapshot (noisy coordinates, radii, matched flags); the
   /// rank stage scores candidates straight off these arrays.
   const reachability::WorkerFilterSoA& soa() const { return soa_; }
-  const Config& config() const { return config_; }
 
  private:
   /// Per-shard scratch of the U2U scan. Each shard owns one instance for
   /// the whole run, so concurrent shard scans never share mutable state and
   /// the vectors' capacities amortize across tasks.
   struct ShardScratch {
-    std::vector<uint32_t> live;    ///< Matched-filtered indices (full scan).
     std::vector<uint32_t> accept;  ///< Certain accepts, ascending.
     std::vector<uint32_t> band;    ///< In-band indices, then survivors.
     std::vector<uint32_t> out;     ///< This shard's candidates, ascending.
@@ -209,21 +194,21 @@ class U2uCandidateStage {
   };
 
   /// Scores `count` workers (an ascending index list with no matched
-  /// entries) against the task's noisy location, appending the ascending
-  /// candidate subset to `sc.out`. Safe to run concurrently on distinct
+  /// entries) against the task's noisy location, leaving the ascending
+  /// candidate subset in `sc.out`. Safe to run concurrently on distinct
   /// scratches: reads only the SoA, the prewarmed threshold cache, and the
   /// (thread-safe, const) model.
   void ScanIndices(geo::Point task_noisy, const uint32_t* idx, size_t count,
                    ShardScratch& sc) const;
 
-  /// True when Collect routes through the cell-major mirror: grid pruning
-  /// backend + alpha thresholds + active_set + the cell_mirror knob. The
-  /// gather path handles everything else (non-grid pruners never yield cell
-  /// slices; without active_set the mirror would rescan matched workers;
-  /// without thresholds there are no certain bands to mirror).
-  bool UseMirror() const;
+  /// Resolves the in-band workers of `sc.band` in place, keeping the
+  /// candidates (the direct evaluation both scan paths share).
+  void ResolveBand(geo::Point task_noisy, ShardScratch& sc) const;
 
-  /// The mirror Collect: certified cell walk, chunked range classification
+  /// The unpruned Collect: every shard's active list, fanned over the pool.
+  void CollectShards(geo::Point task_noisy);
+
+  /// The pruned Collect: certified cell walk, chunked range classification
   /// over contiguous mirror slices, bitmap union back to ascending order.
   void CollectMirror(geo::Point task_noisy);
 
@@ -238,7 +223,7 @@ class U2uCandidateStage {
 
   Config config_;
   reachability::WorkerFilterSoA soa_;
-  std::optional<reachability::AlphaThresholdCache> thresholds_;
+  reachability::AlphaThresholdCache thresholds_;
   std::unique_ptr<index::UncertainRegionPruner> pruner_;
   /// Cell-major scoring mirror over the grid backend's member layout.
   /// Declared after pruner_ and detached (ForgetGrid) at every
@@ -258,20 +243,11 @@ class U2uCandidateStage {
   std::vector<uint8_t> shard_dirty_;
   std::vector<ShardScratch> shards_;
 
-  /// One shard's slice [begin, end) of the pruner's ascending id list for
-  /// the current task. Boundaries come from id / shard_size — the same
-  /// fixed shards as the brute scan — so concatenating per-segment outputs
-  /// in segment order reproduces the serial whole-list scan.
-  struct Segment {
-    size_t shard;
-    size_t begin;
-    size_t end;
-  };
-
   /// One mirror chunk: the visit range [begin, end) of the current walk.
   /// Chunks are cut by cumulative member count against shard_size alone —
-  /// pool-independent, like Segment boundaries — so chunk contents (and
-  /// with them every per-chunk counter) are identical on any pool.
+  /// pool-independent, like the brute scan's shard boundaries — so chunk
+  /// contents (and with them every per-chunk counter) are identical on any
+  /// pool.
   struct MirrorChunk {
     size_t begin;
     size_t end;
@@ -279,8 +255,6 @@ class U2uCandidateStage {
 
   // Reused per-Collect scratch.
   std::vector<uint32_t> candidates_;
-  std::vector<int64_t> pruner_ids_;
-  std::vector<Segment> segments_;
   std::vector<index::GridIndex::CellVisit> visits_;
   std::vector<MirrorChunk> mirror_chunks_;
   std::vector<uint64_t> mirror_bits_;  ///< Accept bitmap, one bit per worker.

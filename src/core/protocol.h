@@ -116,8 +116,8 @@ class RequesterDevice {
 class TaskingServer {
  public:
   /// `alpha` is the U2U threshold applied to `model` probabilities.
-  /// `kernel.alpha_thresholds` answers the filter via the inverted
-  /// critical-distance compare (exact decisions, see kernel.h).
+  /// The filter answers via the inverted critical-distance compare (exact
+  /// decisions, see kernel.h); `kernel` supplies its threshold margin.
   TaskingServer(const reachability::ReachabilityModel* model, double alpha,
                 reachability::KernelOptions kernel = {});
 

@@ -23,6 +23,9 @@ struct Point {
 
   /// Euclidean norm of this point viewed as a vector from the origin.
   double Norm() const { return std::hypot(x, y); }
+
+  /// False for NaN or infinite coordinates (untrusted ingest input).
+  bool IsFinite() const { return std::isfinite(x) && std::isfinite(y); }
 };
 
 /// Euclidean distance between two points, in meters.

@@ -1,7 +1,6 @@
 #include "index/grid_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -66,22 +65,25 @@ GridIndex::GridIndex(const geo::BoundingBox& region, int cells_per_axis)
   SCGUARD_CHECK(cell_w_ > 0.0 && cell_h_ > 0.0);
 }
 
+int GridIndex::CellCoord(double cells_from_origin) const {
+  // Clamp in double before the cast: converting a NaN or a value beyond
+  // int range is undefined behaviour. Inside the range, truncating the
+  // clamped value equals clamping the truncated one.
+  if (std::isnan(cells_from_origin)) return 0;
+  return static_cast<int>(std::clamp(cells_from_origin, 0.0,
+                                     static_cast<double>(cells_ - 1)));
+}
+
 GridIndex::CellRange GridIndex::CellsFor(const geo::BoundingBox& box) const {
-  auto clamp = [this](double v) {
-    return std::clamp(static_cast<int>(v), 0, cells_ - 1);
-  };
-  return {clamp((box.min_x - region_.min_x) / cell_w_),
-          clamp((box.max_x - region_.min_x) / cell_w_),
-          clamp((box.min_y - region_.min_y) / cell_h_),
-          clamp((box.max_y - region_.min_y) / cell_h_)};
+  return {CellCoord((box.min_x - region_.min_x) / cell_w_),
+          CellCoord((box.max_x - region_.min_x) / cell_w_),
+          CellCoord((box.min_y - region_.min_y) / cell_h_),
+          CellCoord((box.max_y - region_.min_y) / cell_h_)};
 }
 
 size_t GridIndex::CellSlotFor(geo::Point p) const {
-  const int cx = std::clamp(
-      static_cast<int>((p.x - region_.min_x) / cell_w_), 0, cells_ - 1);
-  const int cy = std::clamp(
-      static_cast<int>((p.y - region_.min_y) / cell_h_), 0, cells_ - 1);
-  return CellSlot(cx, cy);
+  return CellSlot(CellCoord((p.x - region_.min_x) / cell_w_),
+                  CellCoord((p.y - region_.min_y) / cell_h_));
 }
 
 void GridIndex::Rebuild() {
@@ -151,12 +153,6 @@ void GridIndex::Insert(geo::Point center, double expanded_radius_m,
   }
   cells_of_id_[id].push_back(static_cast<uint32_t>(slot));
   max_radius_ = std::max(max_radius_, expanded_radius_m);
-  if (max_id_ < min_id_) {
-    min_id_ = max_id_ = id;
-  } else {
-    min_id_ = std::min(min_id_, id);
-    max_id_ = std::max(max_id_, id);
-  }
   ++live_;
 }
 
@@ -199,141 +195,12 @@ GridIndex::CellRange GridIndex::QueryRange(
   return range;
 }
 
-void GridIndex::Query(const geo::BoundingBox& query,
-                      std::vector<int64_t>& out) const {
-  out.clear();
-  if (live_ == 0 || query.empty()) return;
-  const CellRange range = QueryRange(query);
-
-  // Output-ordering strategy. When the inserted id range is dense relative
-  // to the live count (the engine's ids are exactly [0, n)), accepted ids
-  // are scattered into a bitmap and read back in word order: ascending and
-  // deduplicated in O(hits + range/64), no comparison sorting at all. For
-  // sparse id sets a bitmap would be oversized, so each cell records an
-  // ascending run and a k-way merge combines them.
-  const uint64_t id_span = static_cast<uint64_t>(max_id_) -
-                           static_cast<uint64_t>(min_id_) + 1;
-  const bool dense = id_span <= 8 * static_cast<uint64_t>(live_) + 8192;
-  size_t dense_hits = 0;
-  if (dense) {
-    bitmap_.assign(static_cast<size_t>((id_span + 63) / 64), 0);
-  } else {
-    run_starts_.clear();
-  }
-  const auto set_bit = [this](int64_t id) {
-    const uint64_t off =
-        static_cast<uint64_t>(id) - static_cast<uint64_t>(min_id_);
-    bitmap_[static_cast<size_t>(off >> 6)] |= uint64_t{1} << (off & 63);
-  };
-
-  for (int cy = range.y0; cy <= range.y1; ++cy) {
-    for (int cx = range.x0; cx <= range.x1; ++cx) {
-      const size_t slot = CellSlot(cx, cy);
-      // The agg array is the only memory the visit touches until a cell
-      // certifies as bulk or boundary: 64 contiguous bytes per cell. The
-      // member slices of surviving cells sit in the flat arrays in
-      // row-major cell order, so a row sweep streams them near-sequentially
-      // instead of chasing one heap vector per cell.
-      const Agg& agg = aggs_[slot];
-      const CellCert cert = Classify(agg, query);
-      if (cert == CellCert::kSkipped) {
-        // Empty cells keep the -inf sentinel and are not "skipped work".
-        if (agg.cover_max_x != -kInf) ++stats_.cells_skipped;
-        continue;
-      }
-      const CellRef& c = cells_ref_[slot];
-      const int64_t* const mids = ids_.data() + c.begin;
-      const size_t m = c.count;
-      const size_t run = out.size();
-      if (cert == CellCert::kBulkAccepted) {
-        ++stats_.cells_bulk_accepted;
-        if (dense) {
-          for (size_t k = 0; k < m; ++k) set_bit(mids[k]);
-          dense_hits += m;
-        } else {
-          out.insert(out.end(), mids, mids + m);
-        }
-      } else {
-        ++stats_.cells_boundary;
-        stats_.boundary_workers += static_cast<int64_t>(m);
-        const double* const mx = xs_.data() + c.begin;
-        const double* const my = ys_.data() + c.begin;
-        const double* const mr = rs_.data() + c.begin;
-        for (size_t k = 0; k < m; ++k) {
-          // Bit-identical to FromCircle(center, r).Intersects(query).
-          const bool hit = (mx[k] - mr[k] <= query.max_x) &
-                           (query.min_x <= mx[k] + mr[k]) &
-                           (my[k] - mr[k] <= query.max_y) &
-                           (query.min_y <= my[k] + mr[k]);
-          if (dense) {
-            if (hit) {
-              set_bit(mids[k]);
-              ++dense_hits;
-            }
-          } else if (hit) {
-            out.push_back(mids[k]);
-          }
-        }
-      }
-      if (!dense && out.size() > run) run_starts_.push_back(run);
-    }
-  }
-
-  if (dense) {
-    out.reserve(dense_hits);
-    for (size_t w = 0; w < bitmap_.size(); ++w) {
-      uint64_t bits = bitmap_[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        out.push_back(min_id_ +
-                      static_cast<int64_t>((w << 6) + static_cast<size_t>(b)));
-        bits &= bits - 1;
-      }
-    }
-  } else {
-    MergeRuns(out);
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
-}
-
-void GridIndex::MergeRuns(std::vector<int64_t>& out) const {
-  // Bottom-up pairwise merge of the recorded ascending runs. Each pass
-  // streams `out` once through the scratch buffer and halves the run
-  // count: O(n log k) total, allocation-free once the scratch is warm.
-  while (run_starts_.size() > 1) {
-    merge_buf_.clear();
-    merge_buf_.reserve(out.size());
-    const size_t num_runs = run_starts_.size();
-    size_t next = 0;  // Run starts for the next pass, written in place.
-    for (size_t i = 0; i < num_runs; i += 2) {
-      const size_t begin0 = run_starts_[i];
-      const size_t end0 = i + 1 < num_runs ? run_starts_[i + 1] : out.size();
-      const size_t merged_start = merge_buf_.size();
-      if (i + 1 < num_runs) {
-        const size_t end1 = i + 2 < num_runs ? run_starts_[i + 2] : out.size();
-        std::merge(out.begin() + static_cast<std::ptrdiff_t>(begin0),
-                   out.begin() + static_cast<std::ptrdiff_t>(end0),
-                   out.begin() + static_cast<std::ptrdiff_t>(end0),
-                   out.begin() + static_cast<std::ptrdiff_t>(end1),
-                   std::back_inserter(merge_buf_));
-      } else {
-        merge_buf_.insert(merge_buf_.end(),
-                          out.begin() + static_cast<std::ptrdiff_t>(begin0),
-                          out.end());
-      }
-      run_starts_[next++] = merged_start;
-    }
-    run_starts_.resize(next);
-    out.swap(merge_buf_);
-  }
-}
-
 size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
                                   std::vector<CellVisit>& out) const {
-  // The cell walk of Query, with identical certification accounting, minus
-  // the id materialization: each surviving cell is reported as its flat
-  // member-array slice so a cell-major mirror can do the scoring-side work
-  // over contiguous rows.
+  // Each surviving cell is reported as its flat member-array slice so a
+  // cell-major mirror can do the scoring-side work over contiguous rows.
+  // The agg array is the only memory the walk touches: 64 contiguous bytes
+  // per cell.
   out.clear();
   if (live_ == 0 || query.empty()) return 0;
   const CellRange range = QueryRange(query);
@@ -363,8 +230,22 @@ size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
 }
 
 std::vector<int64_t> GridIndex::QueryIds(const geo::BoundingBox& query) const {
+  std::vector<CellVisit> visits;
+  VisitQueryCells(query, visits);
   std::vector<int64_t> out;
-  Query(query, out);
+  for (const CellVisit& v : visits) {
+    for (size_t k = v.begin; k < v.begin + v.count; ++k) {
+      // Bit-identical to FromCircle(center, r).Intersects(query).
+      const bool hit = v.cert == CellCert::kBulkAccepted ||
+                       ((xs_[k] - rs_[k] <= query.max_x) &
+                        (query.min_x <= xs_[k] + rs_[k]) &
+                        (ys_[k] - rs_[k] <= query.max_y) &
+                        (query.min_y <= ys_[k] + rs_[k]));
+      if (hit) out.push_back(ids_[k]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

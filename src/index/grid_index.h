@@ -27,15 +27,13 @@ namespace scguard::index {
 ///    no per-worker work.
 /// Only boundary cells fall through to the per-member rectangle test, which
 /// is bit-identical to `BoundingBox::FromCircle(center, r).Intersects(q)`.
-/// Output is globally ascending and callers never re-sort: when the live id
-/// range is dense (the engine's ids are [0, n)), accepted ids are scattered
-/// into a bitmap and extracted in order — O(hits) with tiny constants —
-/// otherwise each cell emits an ascending run and a k-way merge combines
-/// them.
+/// The U2U stage walks the certified cells itself (VisitQueryCells) and
+/// scores their slices through its cell-major mirror; QueryIds is the
+/// id-level view of the same walk.
 ///
-/// Simpler and often faster than the R-tree for the city-scale, roughly
-/// uniform extents SCGuard deals with; both satisfy the same query contract
-/// so the U2U pruner can use either (ablated in bench_ablation_pruning).
+/// Coordinates are never trusted: NaN, infinite, or out-of-int-range
+/// centers and query boxes clamp to border cells (NaN to cell 0) in double
+/// before any integer cast.
 class GridIndex {
  public:
   /// Observer of in-place mutations of the flat member arrays, so a derived
@@ -90,13 +88,9 @@ class GridIndex {
   /// engine's registration order).
   void Insert(geo::Point center, double expanded_radius_m, int64_t id);
 
-  /// Appends to `out` (cleared first) the ids of all live entries whose
-  /// rectangle intersects `query`, in ascending id order; an id inserted
-  /// more than once is emitted at most once. Not thread-safe (mutable
-  /// bitmap/merge scratch + stats).
-  void Query(const geo::BoundingBox& query, std::vector<int64_t>& out) const;
-
-  /// As above, returning a fresh vector (test convenience).
+  /// The ids of all live entries whose rectangle intersects `query`, in
+  /// ascending id order; an id inserted more than once is emitted once.
+  /// Not thread-safe (stats).
   std::vector<int64_t> QueryIds(const geo::BoundingBox& query) const;
 
   /// One surviving cell of a query's certified walk: the member-array slice
@@ -109,10 +103,9 @@ class GridIndex {
     CellCert cert = CellCert::kBoundary;
   };
 
-  /// The cell walk of Query without materializing member ids: appends one
+  /// The certified cell walk without materializing member ids: appends one
   /// CellVisit per surviving (non-empty, non-skipped) cell in row-major
-  /// order, with QueryStats accounting identical to Query's on the same
-  /// box. A caller holding a cell-major mirror classifies the slices
+  /// order, counting QueryStats. A caller holding a cell-major mirror classifies the slices
   /// itself; a kBulkAccepted visit means every member's rectangle
   /// intersects `query`, a kBoundary visit means the caller must apply the
   /// per-member rectangle test (`FromCircle(center, r).Intersects(query)`
@@ -169,7 +162,7 @@ class GridIndex {
   const QueryStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = QueryStats{}; }
 
-  /// Classification of cell (cx, cy) against `query` exactly as Query would
+  /// Classification of cell (cx, cy) against `query` exactly as a query would
   /// decide it (test support; empty cells report kSkipped).
   CellCert ClassifyCellForTest(int cx, int cy,
                                const geo::BoundingBox& query) const;
@@ -214,8 +207,11 @@ class GridIndex {
   struct CellRange {
     int x0, x1, y0, y1;  // Inclusive cell coordinates.
   };
+  /// Cell coordinate of an offset measured in cells, clamped to
+  /// [0, cells_ - 1] before the integer cast (NaN -> 0).
+  int CellCoord(double cells_from_origin) const;
   CellRange CellsFor(const geo::BoundingBox& box) const;
-  /// The widened, clamped cell range Query visits for `query` (the
+  /// The widened, clamped cell range a query visits for `query` (the
   /// max_radius_ reach expansion plus the +-1 ulp guard band).
   CellRange QueryRange(const geo::BoundingBox& query) const;
   size_t CellSlot(int cx, int cy) const {
@@ -228,10 +224,6 @@ class GridIndex {
   /// Re-lays the flat member arrays with fresh per-cell headroom
   /// (amortized: triggered only when a cell's slice is full). O(entries).
   void Rebuild();
-  /// Merges the ascending runs recorded in `run_starts_` into one ascending
-  /// sequence (bottom-up pairwise merge through the member scratch buffer;
-  /// no per-query allocation once warm).
-  void MergeRuns(std::vector<int64_t>& out) const;
 
   geo::BoundingBox region_;
   int cells_;
@@ -252,20 +244,12 @@ class GridIndex {
   // visited cell range by it so any cell whose members could reach the
   // query rectangle is visited. Kept stale-high after Remove (conservative).
   double max_radius_ = 0.0;
-  // High-water id range of all inserted entries (kept stale-wide after
-  // Remove): when it is dense relative to the live count, Query orders its
-  // output through the bitmap instead of the run merge.
-  int64_t min_id_ = 0;
-  int64_t max_id_ = -1;
   size_t live_ = 0;
   SliceChangeListener* listener_ = nullptr;  // Not owned.
 
   std::vector<double> radius_scratch_;  // Relocate's per-entry radii.
 
   mutable QueryStats stats_;
-  mutable std::vector<uint64_t> bitmap_;    // Dense-id accept bitmap.
-  mutable std::vector<size_t> run_starts_;  // Offsets of per-cell runs.
-  mutable std::vector<int64_t> merge_buf_;  // Pairwise-merge scratch.
 };
 
 }  // namespace scguard::index

@@ -3,31 +3,20 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/bbox.h"
 #include "geo/point.h"
 #include "index/grid_index.h"
-#include "index/rtree.h"
 #include "privacy/privacy_params.h"
 
 namespace scguard::index {
 
-/// Index backend used by the U2U pruner.
-enum class PrunerBackend { kLinearScan, kGrid, kRTree };
-
-constexpr std::string_view PrunerBackendName(PrunerBackend b) {
-  switch (b) {
-    case PrunerBackend::kLinearScan:
-      return "linear";
-    case PrunerBackend::kGrid:
-      return "grid";
-    case PrunerBackend::kRTree:
-      return "rtree";
-  }
-  return "?";
-}
+/// Index backend of the U2U pruner. The cell-certified grid is the only
+/// one; the enum stays because configuration structs that name it
+/// (EnginePolicy::pruning_backend, U2uCandidateStage::Pruning::backend)
+/// are assigned by existing callers.
+enum class PrunerBackend { kGrid };
 
 /// The U2U pruning optimization of paper Sec. IV-C1.
 ///
@@ -37,7 +26,7 @@ constexpr std::string_view PrunerBackendName(PrunerBackend b) {
 /// not overlap, the pair is reachable with probability < gamma and is
 /// pruned before any probability evaluation. The pruner is conservative:
 /// it may keep unreachable workers but never drops a pair whose disks
-/// overlap.
+/// overlap. The rectangles live in a GridIndex (DESIGN.md §11).
 class UncertainRegionPruner {
  public:
   struct WorkerRegion {
@@ -48,86 +37,63 @@ class UncertainRegionPruner {
 
   /// `gamma` in (0,1): confidence that a true location lies within the
   /// expanded disk of its observation. `region` bounds the deployment area
-  /// (needed by the grid backend; pass the workload bounding box).
-  UncertainRegionPruner(std::vector<WorkerRegion> workers,
+  /// (it sizes the grid; pass the workload bounding box).
+  UncertainRegionPruner(const std::vector<WorkerRegion>& workers,
                         const privacy::PrivacyParams& worker_params,
                         const privacy::PrivacyParams& task_params,
-                        double gamma, PrunerBackend backend,
-                        const geo::BoundingBox& region);
+                        double gamma, const geo::BoundingBox& region);
 
   /// Worker ids whose expanded rectangle intersects the task's rectangle,
-  /// in ascending id order (every backend sorts or preserves insertion
-  /// order, so callers that need determinism don't re-sort).
+  /// in ascending id order — the id-level view of the cell walk the U2U
+  /// stage runs through VisitQueryCells.
   std::vector<int64_t> Candidates(geo::Point task_noisy_location) const;
-
-  /// As above into a caller-owned scratch vector (cleared first): the
-  /// engine calls this once per task, so the per-task allocation of the
-  /// returning overload is hoisted into the caller.
-  void Candidates(geo::Point task_noisy_location,
-                  std::vector<int64_t>& out) const;
 
   /// Permanently drops a worker from future Candidates results (the engine
   /// calls this when a worker accepts a task, so pruned queries stop
   /// returning matched workers — DESIGN.md section 9). Idempotent; removing
-  /// an unknown id is a no-op. The grid backend compacts the entry out of
-  /// its cell (and refreshes that cell's certification aggregates); the
-  /// linear and R-tree backends filter at query time.
+  /// an unknown id is a no-op. The grid compacts the entry out of its cell
+  /// (and refreshes that cell's certification aggregates).
   void Remove(int64_t worker_id);
 
-  /// Re-centers a worker's expanded disk at a new noisy location (dynamic
-  /// re-reporting; the reach radius stays fixed). The grid backend moves
-  /// the entry incrementally (GridIndex::Relocate — O(cell) for the common
-  /// same-cell move); the linear backend updates the stored region, which
-  /// Candidates scans directly. Returns false for the R-tree backend
-  /// (bulk-loaded, no native relocation) and for unknown ids — callers
-  /// fall back to a full index rebuild. A worker currently Removed keeps
-  /// its new location for a later Restore.
-  bool Relocate(int64_t worker_id, geo::Point new_noisy_location);
+  /// Re-centers a live worker's expanded disk at a new noisy location
+  /// (dynamic re-reporting; the reach radius stays fixed) with
+  /// GridIndex::Relocate — O(cell) for the common same-cell move. A
+  /// Removed worker is not indexed, so this is a no-op for it; its Restore
+  /// supplies the location.
+  void Relocate(int64_t worker_id, geo::Point new_noisy_location);
 
   /// Reverses a Remove: the worker rejoins future Candidates results at
-  /// its current recorded location (reactivation when a matched worker
-  /// re-reports). Idempotent; returns false for unknown ids.
-  bool Restore(int64_t worker_id);
+  /// `noisy_location` (reactivation when a matched worker re-reports).
+  /// Idempotent: a worker still indexed is left alone.
+  void Restore(int64_t worker_id, geo::Point noisy_location,
+               double reach_radius_m);
 
-  /// The query rectangle Candidates builds for a task observation
-  /// (`FromCircle(task, task_confidence_radius_m)`), exposed so the
-  /// cell-major mirror path can drive the grid's cell walk itself with the
-  /// exact box the id query would use.
+  /// The query rectangle of a task observation
+  /// (`FromCircle(task, task_confidence_radius_m)`), which the cell-major
+  /// mirror path hands to the grid's cell walk.
   geo::BoundingBox TaskQueryBox(geo::Point task_noisy_location) const {
     return geo::BoundingBox::FromCircle(task_noisy_location, r_r_task_);
   }
 
-  /// The grid backend's index (nullptr for other backends); the cell-major
-  /// scoring mirror attaches to it. Stays owned by the pruner.
+  /// The index; the cell-major scoring mirror attaches to it. Stays owned
+  /// by the pruner.
   GridIndex* grid() const { return grid_.get(); }
 
   /// Confidence radius applied to worker observations.
   double worker_confidence_radius_m() const { return r_r_worker_; }
   /// Confidence radius applied to task observations.
   double task_confidence_radius_m() const { return r_r_task_; }
-  PrunerBackend backend() const { return backend_; }
 
-  /// Cumulative cell-certification counters of the grid backend's queries
-  /// (DESIGN.md §11); nullptr for the other backends.
-  const GridIndex::QueryStats* grid_query_stats() const {
-    return grid_ != nullptr ? &grid_->stats() : nullptr;
+  /// Cumulative cell-certification counters of the grid's queries
+  /// (DESIGN.md §11).
+  const GridIndex::QueryStats& grid_query_stats() const {
+    return grid_->stats();
   }
 
  private:
-  /// The stored region of `worker_id`, or nullptr when unknown. O(1) for
-  /// the engine's dense registration order (workers_[id].worker_id == id),
-  /// linear probe otherwise.
-  WorkerRegion* FindWorker(int64_t worker_id);
-
-  std::vector<WorkerRegion> workers_;
   double r_r_worker_;
   double r_r_task_;
-  PrunerBackend backend_;
   std::unique_ptr<GridIndex> grid_;
-  std::unique_ptr<RTree> rtree_;
-  // Removed ids for the backends without native removal (linear, R-tree);
-  // empty unless Remove was called, so untouched pruners pay nothing.
-  std::unordered_set<int64_t> removed_;
 };
 
 }  // namespace scguard::index

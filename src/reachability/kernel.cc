@@ -308,7 +308,7 @@ void ClassifyCertainBandScalar(const WorkerFilterSoA& soa,
     const double d_sq = dx * dx + dy * dy;
     // Unconditional slot writes + predicated increments keep the loop free
     // of data-dependent branches; d_sq == accept bound counts as accept,
-    // matching AlphaThreshold::NeedsExactEval's open band.
+    // so the direct-evaluation band is open at both ends.
     const bool in_accept = d_sq <= accept_sq[i];
     const bool in_band = (d_sq > accept_sq[i]) & (d_sq < reject_sq[i]);
     accept_out[num_accept] = i;
@@ -377,7 +377,7 @@ size_t ClassifyCertainBandRangeRectScalar(
   size_t num_band = 0;
   size_t admitted = 0;
   for (size_t k = 0; k < count; ++k) {
-    // Bit-identical to GridIndex::Query's boundary member test.
+    // Bit-identical to GridIndex::QueryIds' boundary member test.
     const bool admit = (x[k] - er[k] <= q_max_x) & (q_min_x <= x[k] + er[k]) &
                        (y[k] - er[k] <= q_max_y) & (q_min_y <= y[k] + er[k]);
     const double dx = x[k] - task_x;

@@ -11,14 +11,11 @@
 namespace scguard::reachability {
 
 /// Evaluation-kernel knobs for the protocol hot path (engine U2U filter and
-/// U2E scoring). Defaults are thresholds-on / LUT-off: the threshold path is
-/// exact (bit-identical assignment decisions), the LUT trades a bounded
-/// probability error for speed and must be opted into.
+/// U2E scoring). The U2U filter always runs as an exact precomputed
+/// critical-distance compare (AlphaThresholdCache; bit-identical decisions
+/// to direct evaluation, held by tests/oracle_test.cc); the U2E LUT trades
+/// a bounded probability error for speed and must be opted into.
 struct KernelOptions {
-  /// Replace the per-pair `ProbReachable >= alpha` U2U filter by a
-  /// precomputed critical-distance compare (exact; see AlphaThresholdCache).
-  bool alpha_thresholds = true;
-
   /// Score the U2E stage through an interpolated lookup table instead of
   /// direct model evaluation. Bounded absolute error (lut_max_abs_error) on
   /// every returned probability; changes ranking only where two candidates
@@ -67,12 +64,6 @@ struct AlphaThreshold {
   double reject_above_m = 0.0;    ///< d >= this => not a candidate.
   double accept_below_sq = -1.0;  ///< Squared-space accept bound (slacked).
   double reject_above_sq = 0.0;   ///< Squared-space reject bound (slacked).
-
-  /// True when the decision at squared distance `d_sq` cannot be taken from
-  /// the precomputed bounds and needs one direct evaluation.
-  bool NeedsExactEval(double d_sq) const {
-    return d_sq > accept_below_sq && d_sq < reject_above_sq;
-  }
 };
 
 /// Inverts the alpha filter once per distinct (stage, reach_radius): because
@@ -180,8 +171,8 @@ class KernelLut {
 
 /// Structure-of-arrays snapshot of the per-worker state the U2U filter
 /// touches, so the per-task scan is cache-linear instead of striding
-/// Worker structs. `accept_below_sq` / `reject_above_sq` are only filled
-/// when the alpha-threshold kernel is on.
+/// Worker structs. `accept_below_sq` / `reject_above_sq` are filled by
+/// U2uCandidateStage::Prepare.
 struct WorkerFilterSoA {
   std::vector<double> x;               ///< Noisy location east, meters.
   std::vector<double> y;               ///< Noisy location north, meters.
@@ -287,13 +278,13 @@ void ClassifyCertainBandRange(const CellMajorMirror& m, size_t begin,
                               std::vector<uint32_t>& band);
 
 /// Range classification for *boundary* cells: fuses the per-member pruner
-/// rectangle admission test — bit-identical to GridIndex::Query's
+/// rectangle admission test — bit-identical to GridIndex::QueryIds'
 /// `(x - er <= q.max_x) & (q.min_x <= x + er) & (y - er <= q.max_y) &
 /// (q.min_y <= y + er)` member test, reading `expanded_r` — with the alpha
 /// trichotomy, so rectangle-rejected members never produce a d_sq
 /// classification. Appends like ClassifyCertainBandRange and returns the
-/// number of rows the rectangle admitted (the gather path's "scanned"
-/// contribution for the cell). The query box is passed as four doubles to
+/// number of rows the rectangle admitted (the cell's contribution to the
+/// stage's "scanned" count). The query box is passed as four doubles to
 /// keep the kernel layer free of geo types.
 size_t ClassifyCertainBandRangeRect(const CellMajorMirror& m, size_t begin,
                                     size_t count, double task_x,

@@ -209,7 +209,7 @@ size_t ClassifyCertainBandRangeRectAvx2(
     double q_max_y, std::vector<uint32_t>& accept,
     std::vector<uint32_t>& band) {
   // Boundary-cell variant: the pruner's per-member rectangle admission
-  // (exactly GridIndex::Query's member test, in vector form) masks the
+  // (exactly GridIndex::QueryIds' member test, in vector form) masks the
   // trichotomy, so a rectangle-rejected row ends up in neither output and
   // is not counted admitted. GE/LE ordered-quiet compares match the scalar
   // <=s on any input.

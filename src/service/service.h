@@ -3,21 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "assign/entities.h"
 #include "assign/matcher.h"
-#include "assign/stages/candidate_stage.h"
-#include "assign/stages/contact_stage.h"
-#include "assign/stages/rank_stage.h"
+#include "assign/pipeline.h"
+#include "assign/scguard_engine.h"
 #include "geo/bbox.h"
 #include "geo/point.h"
-#include "index/pruning.h"
-#include "privacy/privacy_params.h"
-#include "reachability/kernel.h"
-#include "reachability/model.h"
 #include "service/mpsc_queue.h"
 #include "stats/rng.h"
 
@@ -53,26 +47,21 @@ struct IngestStats {
   int64_t reports_submitted = 0;
   int64_t tasks_rejected = 0;    ///< TryPush refused: queue full.
   int64_t reports_rejected = 0;
+  /// Refused as malformed: a non-finite task location.
+  int64_t tasks_invalid = 0;
+  /// Refused as malformed: an unknown worker id or a non-finite location.
+  int64_t reports_invalid = 0;
   int64_t epochs = 0;            ///< Snapshot publications so far.
 };
 
-/// Protocol + runtime knobs; mirrors assign::EnginePolicy with the
-/// service-specific ingest knobs appended, so a service configured from an
-/// EnginePolicy's fields executes the identical per-task protocol.
-struct ServiceConfig {
-  const reachability::ReachabilityModel* u2u_model = nullptr;
-  const reachability::ReachabilityModel* u2e_model = nullptr;
-  double alpha = 0.1;
-  double beta = 0.0;
-  assign::BetaMode beta_mode = assign::BetaMode::kEveryContact;
-  assign::RankStrategy rank = assign::RankStrategy::kProbability;
-  int redundancy_k = 1;
-  std::optional<double> pruning_gamma;
-  index::PrunerBackend pruning_backend = index::PrunerBackend::kGrid;
-  privacy::PrivacyParams worker_params;
-  privacy::PrivacyParams task_params;
-  reachability::KernelOptions kernel;
-  assign::EngineRuntime runtime;
+/// The protocol policy (every assign::EnginePolicy field, executed by the
+/// same TaskPipeline as ScGuardEngine::Run) plus the service's ingest
+/// knobs. `name` is unused.
+struct ServiceConfig : assign::EnginePolicy {
+  /// The observer-only accuracy scan is O(workers) per task and no
+  /// protocol party performs it, so the service defaults it off.
+  ServiceConfig() { compute_accuracy_metrics = false; }
+
   /// Deployment region (sizes the pruning grid).
   geo::BoundingBox region;
 
@@ -100,8 +89,9 @@ struct ServiceConfig {
 /// an apply phase (drain up to max_batch events, mutate the U2U stage's
 /// index/mirror state through the incremental Relocate/MarkAvailable
 /// paths, publish a new epoch) with a scan phase (run each drained task
-/// through the same U2U -> U2E -> E2E body as ScGuardEngine::Run, pinned
-/// to the just-published epoch).
+/// through the same assign::TaskPipeline as ScGuardEngine::Run, pinned to
+/// the just-published epoch). The pipeline's `scguard.engine.*` counters
+/// are flushed once per epoch while obs is on, so they are live.
 ///
 /// Determinism: concurrency only decides the admission *order*; execution
 /// is serial in the consumer, and every executed event is appended to the
@@ -114,6 +104,10 @@ struct ServiceConfig {
 /// ReportLocation from any threads between Start and Stop; results
 /// (completions, metrics, admission_log, assignments) only after Stop
 /// returns. epoch() and ingest_stats() are safe at any time.
+///
+/// Ingest never trusts its input: a malformed event (non-finite
+/// coordinates, unknown worker id) is refused and counted, never admitted
+/// and never an abort.
 class AssignmentService {
  public:
   enum class StopMode {
@@ -135,7 +129,9 @@ class AssignmentService {
   /// launches the consumer thread.
   void Start();
 
-  /// Producers. Return false when the ring is full (event not admitted).
+  /// Producers. Return false when the event is not admitted: the ring is
+  /// full (counted in *_rejected) or the event is malformed (counted in
+  /// *_invalid).
   bool SubmitTask(const assign::Task& t);
   bool ReportLocation(uint32_t worker, geo::Point exact_location,
                       geo::Point noisy_location);
@@ -155,9 +151,11 @@ class AssignmentService {
   }
   const std::vector<ServiceEvent>& admission_log() const { return log_; }
   const std::vector<assign::Assignment>& assignments() const {
-    return assignments_;
+    return pipeline_.result().assignments;
   }
-  const assign::RunMetrics& metrics() const { return metrics_; }
+  const assign::RunMetrics& metrics() const {
+    return pipeline_.result().metrics;
+  }
   /// Wall-clock Stop(kDrain) spent finishing the backlog.
   double drain_seconds() const { return drain_seconds_; }
 
@@ -170,7 +168,7 @@ class AssignmentService {
   void ConsumerLoop();
   void ApplyReport(const ServiceEvent& ev);
   void ScanTask(const ServiceEvent& ev);
-  /// Grid-certification fold + one obs flush per counter; idempotent.
+  /// Final pipeline flush + one obs flush per service counter; idempotent.
   void FinalizeMetrics();
 
   ServiceConfig config_;
@@ -178,25 +176,15 @@ class AssignmentService {
   stats::Rng rank_rng_;
 
   // Ground truth the E2E stage consults (exact locations); consumer-owned
-  // after Start.
+  // after Start. The pipeline borrows it.
   std::vector<assign::Worker> workers_;
-  std::vector<double> random_rank_;
-
-  // The three protocol stages (consumer-owned after Start).
-  assign::U2uCandidateStage u2u_;
-  assign::U2eRankStage u2e_;
-  assign::E2eContactStage e2e_;
-  std::vector<std::pair<double, size_t>> ranked_;  // Reused scratch.
+  // The per-task protocol body and its accounting (consumer-owned after
+  // Start).
+  assign::TaskPipeline pipeline_;
 
   // Consumer-owned results.
   std::vector<ServiceEvent> log_;
   std::vector<CompletionRecord> completions_;
-  std::vector<assign::Assignment> assignments_;
-  assign::RunMetrics metrics_;
-  int64_t obs_evaluated_ = 0;
-  int64_t obs_pruned_ = 0;
-  int64_t obs_alpha_rejections_ = 0;
-  int64_t obs_beta_cancels_ = 0;
   int64_t reports_applied_ = 0;
   int64_t epochs_published_ = 0;
   bool finalized_ = false;
@@ -207,6 +195,8 @@ class AssignmentService {
   std::atomic<int64_t> reports_pushed_{0};
   std::atomic<int64_t> tasks_rejected_{0};
   std::atomic<int64_t> reports_rejected_{0};
+  std::atomic<int64_t> tasks_invalid_{0};
+  std::atomic<int64_t> reports_invalid_{0};
   std::atomic<int64_t> events_applied_{0};
   std::atomic<bool> draining_{false};
   std::atomic<bool> abandon_{false};

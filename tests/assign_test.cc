@@ -344,21 +344,15 @@ TEST(EngineTest, PruningPreservesResultsAtHighGamma) {
   params.task_params = kDefault;
   MatcherHandle plain = MakeProbabilisticModel(params);
   params.pruning_gamma = 0.99;
-  for (auto backend : {index::PrunerBackend::kGrid, index::PrunerBackend::kRTree,
-                       index::PrunerBackend::kLinearScan}) {
-    params.pruning_backend = backend;
-    MatcherHandle pruned = MakeProbabilisticModel(params);
-    stats::Rng rng_a(21), rng_b(21);
-    const auto a = plain.Run(w, rng_a);
-    const auto b = pruned.Run(w, rng_b);
-    EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks)
-        << index::PrunerBackendName(backend);
-    EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum)
-        << index::PrunerBackendName(backend);
-    ASSERT_EQ(a.assignments.size(), b.assignments.size());
-    for (size_t i = 0; i < a.assignments.size(); ++i) {
-      EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id);
-    }
+  MatcherHandle pruned = MakeProbabilisticModel(params);
+  stats::Rng rng_a(21), rng_b(21);
+  const auto a = plain.Run(w, rng_a);
+  const auto b = pruned.Run(w, rng_b);
+  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks);
+  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum);
+  ASSERT_EQ(a.assignments.size(), b.assignments.size());
+  for (size_t i = 0; i < a.assignments.size(); ++i) {
+    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id);
   }
 }
 

@@ -1,9 +1,9 @@
 // Thread-count / shard-size invariance of the engine's sharded U2U scan
-// (DESIGN.md section 9), plus the active-set compaction equivalence and
-// the removal support it leans on in the index layer. The determinism
-// contract under test: for a fixed policy and workload, MatchResult and
-// the caller's RNG stream are bit-identical for every
-// (pool, shard_size, active_set) combination.
+// (DESIGN.md section 9), the active-set compaction it runs on, and the
+// removal support it leans on in the index layer. The determinism contract
+// under test: for a fixed policy and workload, MatchResult and the caller's
+// RNG stream are bit-identical for every (pool, shard_size) combination —
+// and equal to the naive oracle's full scan (tests/oracle.h).
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "assign/scguard_engine.h"
-#include "data/workload.h"
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
+#include "oracle.h"
 #include "reachability/analytical_model.h"
 #include "reachability/kernel.h"
 #include "runtime/task_group.h"
@@ -32,38 +32,7 @@ using privacy::PrivacyParams;
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
 Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
-
-/// Asserts two runs produced the same protocol outcome bit for bit:
-/// assignment sequence (ids and exact travel distances) and every
-/// decision-derived metric. Timing metrics are excluded.
-void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << label;
-  for (size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].task_id, b.assignments[i].task_id) << label;
-    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id) << label;
-    EXPECT_EQ(a.assignments[i].travel_m, b.assignments[i].travel_m) << label;
-  }
-  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks) << label;
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum) << label;
-  EXPECT_EQ(a.metrics.false_hits, b.metrics.false_hits) << label;
-  EXPECT_EQ(a.metrics.false_dismissals, b.metrics.false_dismissals) << label;
-  EXPECT_EQ(a.metrics.requester_to_worker_msgs,
-            b.metrics.requester_to_worker_msgs)
-      << label;
-  EXPECT_EQ(a.metrics.precision_sum, b.metrics.precision_sum) << label;
-  EXPECT_EQ(a.metrics.recall_sum, b.metrics.recall_sum) << label;
-  EXPECT_EQ(a.metrics.u2u_scanned, b.metrics.u2u_scanned) << label;
+  return oracle::NoisyWorkload(n, n, seed);
 }
 
 EnginePolicy BasePolicy(const reachability::AnalyticalModel* model) {
@@ -78,10 +47,11 @@ EnginePolicy BasePolicy(const reachability::AnalyticalModel* model) {
   return policy;
 }
 
-// The invariance matrix of ISSUE 4: pools {serial, 1, 2, 8} x shard sizes
-// {64, 1024} x pruner {off, grid, rtree} x alpha-thresholds {on, off},
-// each cell compared bit for bit (including the caller's RNG stream)
-// against the legacy configuration: no pool, no active set.
+// The invariance matrix: pools {serial, 1, 2, 8} x shard sizes {64, 1024}
+// x pruner {off, grid}, each cell compared bit for bit (including the
+// caller's RNG stream) against the oracle's direct-evaluation full scan —
+// so the threshold kernel, the active set and the mirror are all held to
+// it at once.
 TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(300, 20260806);
@@ -93,55 +63,20 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
     pools.push_back(std::make_unique<runtime::ThreadPool>(threads));
   }
 
-  struct PrunerCase {
-    const char* name;
-    std::optional<double> gamma;
-    index::PrunerBackend backend;
-  };
-  const PrunerCase pruners[] = {
-      {"off", std::nullopt, index::PrunerBackend::kGrid},
-      {"grid", 0.9, index::PrunerBackend::kGrid},
-      {"rtree", 0.9, index::PrunerBackend::kRTree},
-  };
-
-  for (const bool thresholds : {true, false}) {
-    for (const PrunerCase& pc : pruners) {
-      // Baseline: the legacy serial full-rescan path.
-      EnginePolicy base = BasePolicy(&model);
-      base.kernel.alpha_thresholds = thresholds;
-      base.pruning_gamma = pc.gamma;
-      base.pruning_backend = pc.backend;
-      base.runtime.pool = nullptr;
-      base.runtime.active_set = false;
-      ScGuardEngine baseline(base);
-      stats::Rng base_rng(7);
-      const MatchResult expected = baseline.Run(workload, base_rng);
-      ASSERT_GT(expected.metrics.assigned_tasks, 0);
-      // Where the baseline left the stream; every cell must land exactly
-      // here too (the scan consumes no draws regardless of configuration).
-      const double expected_next_draw = base_rng.UniformDouble();
-
-      for (const auto& pool : pools) {
-        for (const int shard_size : {64, 1024}) {
-          EnginePolicy policy = BasePolicy(&model);
-          policy.kernel.alpha_thresholds = thresholds;
-          policy.pruning_gamma = pc.gamma;
-          policy.pruning_backend = pc.backend;
-          policy.runtime.pool = pool.get();
-          policy.runtime.shard_size = shard_size;
-          policy.runtime.active_set = true;
-          ScGuardEngine engine(policy);
-          stats::Rng rng(7);
-          const MatchResult result = engine.Run(workload, rng);
-          const std::string label =
-              std::string("thresholds=") + (thresholds ? "on" : "off") +
-              " pruner=" + pc.name +
-              " threads=" + std::to_string(pool ? pool->num_threads() : 0) +
-              " shard=" + std::to_string(shard_size);
-          ExpectBitIdentical(expected, result, label);
-          // Identical RNG stream: the scan consumed no draws either way.
-          EXPECT_EQ(expected_next_draw, rng.UniformDouble()) << label;
-        }
+  for (const std::optional<double> gamma : {std::optional<double>(), {0.9}}) {
+    EnginePolicy policy = BasePolicy(&model);
+    policy.pruning_gamma = gamma;
+    const oracle::Expected want = oracle::Expect(policy, workload, 7);
+    ASSERT_GT(want.result.metrics.assigned_tasks, 0);
+    for (const auto& pool : pools) {
+      for (const int shard_size : {64, 1024}) {
+        policy.runtime.pool = pool.get();
+        policy.runtime.shard_size = shard_size;
+        oracle::ExpectEngineMatches(
+            want, policy, workload, 7,
+            std::string("pruner=") + (gamma ? "grid" : "off") +
+                " threads=" + std::to_string(pool ? pool->num_threads() : 0) +
+                " shard=" + std::to_string(shard_size));
       }
     }
   }
@@ -174,73 +109,44 @@ TEST(EngineParallelTest, NestedInsidePoolWorkerFallsBackSerially) {
     });
     ASSERT_TRUE(group.Wait().ok());
   }
-  ExpectBitIdentical(expected, nested, "nested-in-pool");
+  oracle::ExpectSameResult(expected, nested, "nested-in-pool");
 }
 
-// Active-set compaction is an optimization, not a semantic change: on/off
-// must agree on every decision, and with it on the scan work per task must
-// shrink as workers get matched.
+// Active-set compaction is an optimization, not a semantic change: the
+// engine must agree with the oracle's rescan of every available worker on
+// every decision, and the scan work per task must shrink as workers get
+// matched.
 TEST(EngineParallelTest, ActiveSetMatchesFullScanAndShrinksWork) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(400, 11);
 
-  EnginePolicy on = BasePolicy(&model);
-  on.runtime.active_set = true;
-  on.runtime.shard_size = 64;
-  EnginePolicy off = BasePolicy(&model);
-  off.runtime.active_set = false;
-  off.runtime.shard_size = 64;
+  EnginePolicy policy = BasePolicy(&model);
+  policy.runtime.shard_size = 64;
+  const MatchResult r = oracle::ExpectEngineMatches(
+      oracle::Expect(policy, workload, 5), policy, workload, 5,
+      "active set vs oracle full scan");
 
-  ScGuardEngine engine_on(on);
-  ScGuardEngine engine_off(off);
-  stats::Rng rng_on(5);
-  stats::Rng rng_off(5);
-  const MatchResult r_on = engine_on.Run(workload, rng_on);
-  const MatchResult r_off = engine_off.Run(workload, rng_off);
-  ExpectBitIdentical(r_on, r_off, "active-set on vs off");
-  EXPECT_EQ(rng_on.UniformDouble(), rng_off.UniformDouble());
-
-  // Both modes skip matched workers, so the scanned totals agree; the
-  // decay is visible in the first/last per-task snapshots once anything
-  // was assigned.
-  EXPECT_EQ(r_on.metrics.u2u_scanned, r_off.metrics.u2u_scanned);
-  ASSERT_GT(r_on.metrics.assigned_tasks, 0);
-  EXPECT_LT(r_on.metrics.u2u_scanned_last_task,
-            r_on.metrics.u2u_scanned_first_task);
-  EXPECT_EQ(r_on.metrics.u2u_scanned_first_task, 400);
+  // The decay is visible in the first/last per-task snapshots once
+  // anything was assigned.
+  ASSERT_GT(r.metrics.assigned_tasks, 0);
+  EXPECT_LT(r.metrics.u2u_scanned_last_task, r.metrics.u2u_scanned_first_task);
+  EXPECT_EQ(r.metrics.u2u_scanned_first_task, 400);
 }
 
-// Same equivalence through a pruning index: with the active set on the
-// engine removes matched workers from the index instead of filtering them
-// per query.
+// Same equivalence through the pruning index: the engine removes matched
+// workers from the index, the oracle skips them in its rectangle loop.
 TEST(EngineParallelTest, ActiveSetMatchesFullScanUnderPruner) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(300, 17);
 
-  for (const auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
-    EnginePolicy on = BasePolicy(&model);
-    on.pruning_gamma = 0.9;
-    on.pruning_backend = backend;
-    on.runtime.active_set = true;
-    EnginePolicy off = on;
-    off.runtime.active_set = false;
-
-    ScGuardEngine engine_on(on);
-    ScGuardEngine engine_off(off);
-    stats::Rng rng_on(5);
-    stats::Rng rng_off(5);
-    const MatchResult r_on = engine_on.Run(workload, rng_on);
-    const MatchResult r_off = engine_off.Run(workload, rng_off);
-    const std::string label =
-        std::string("pruner backend ") +
-        std::string(index::PrunerBackendName(backend));
-    ExpectBitIdentical(r_on, r_off, label);
-    ASSERT_GT(r_on.metrics.assigned_tasks, 0) << label;
-    // Removal makes the index return strictly fewer ids over the run.
-    EXPECT_LE(r_on.metrics.u2u_scanned, r_off.metrics.u2u_scanned) << label;
-  }
+  EnginePolicy policy = BasePolicy(&model);
+  policy.pruning_gamma = 0.9;
+  const MatchResult r = oracle::ExpectEngineMatches(
+      oracle::Expect(policy, workload, 5), policy, workload, 5,
+      "grid pruner vs oracle");
+  ASSERT_GT(r.metrics.assigned_tasks, 0);
+  // The rectangles skip workers from the first task on.
+  EXPECT_LT(r.metrics.u2u_scanned_first_task, 300);
 }
 
 TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
@@ -297,6 +203,7 @@ TEST(GridIndexRemoveTest, RemovesEveryEntryOfAnId) {
   EXPECT_TRUE(grid.QueryIds(region).empty());
 }
 
+// The grid is the only backend; it must drop removed workers natively.
 TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
   std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
   for (int i = 0; i < 20; ++i) {
@@ -305,23 +212,24 @@ TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {2000, 2000});
 
-  for (const auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
-    index::UncertainRegionPruner pruner(regions, kDefault, kDefault,
-                                        /*gamma=*/0.9, backend, region);
-    const geo::Point probe{500.0, 500.0};
-    std::vector<int64_t> before = pruner.Candidates(probe);
-    ASSERT_FALSE(before.empty());
-    const int64_t victim = before.front();
+  index::UncertainRegionPruner pruner(regions, kDefault, kDefault,
+                                      /*gamma=*/0.9, region);
+  const geo::Point probe{500.0, 500.0};
+  std::vector<int64_t> before = pruner.Candidates(probe);
+  ASSERT_FALSE(before.empty());
+  const int64_t victim = before.front();
 
-    pruner.Remove(victim);
-    pruner.Remove(victim);  // Idempotent.
-    std::vector<int64_t> after = pruner.Candidates(probe);
-    EXPECT_EQ(after.size(), before.size() - 1);
-    for (const int64_t id : after) EXPECT_NE(id, victim);
-    EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
-  }
+  pruner.Remove(victim);
+  pruner.Remove(victim);  // Idempotent.
+  std::vector<int64_t> after = pruner.Candidates(probe);
+  EXPECT_EQ(after.size(), before.size() - 1);
+  for (const int64_t id : after) EXPECT_NE(id, victim);
+  EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
+
+  // Restore brings it back, in order.
+  pruner.Restore(victim, regions[static_cast<size_t>(victim)].noisy_location,
+                 regions[static_cast<size_t>(victim)].reach_radius_m);
+  EXPECT_EQ(pruner.Candidates(probe), before);
 }
 
 // ---- SIMD classification kernel (ISSUE 6 tentpole c) ---------------------
@@ -464,10 +372,7 @@ TEST(EngineParallelTest, SimdDispatchRunInvariance) {
 
   for (const bool prune : {false, true}) {
     EnginePolicy policy = BasePolicy(&model);
-    if (prune) {
-      policy.pruning_gamma = 0.9;
-      policy.pruning_backend = index::PrunerBackend::kGrid;
-    }
+    if (prune) policy.pruning_gamma = 0.9;
 
     reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
     ScGuardEngine scalar_engine(policy);
@@ -483,7 +388,7 @@ TEST(EngineParallelTest, SimdDispatchRunInvariance) {
     reachability::ResetClassifySimd();
 
     const std::string label = prune ? "pruner=grid" : "pruner=off";
-    ExpectBitIdentical(scalar_result, simd_result, label);
+    oracle::ExpectSameResult(scalar_result, simd_result, label);
     EXPECT_EQ(scalar_next_draw, simd_rng.UniformDouble()) << label;
   }
 }

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
-#include "index/rtree.h"
 #include "stats/rng.h"
 
 namespace scguard::index {
@@ -15,100 +15,6 @@ namespace {
 geo::BoundingBox RandomBox(stats::Rng& rng, double extent, double max_size) {
   const geo::Point c{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
   return geo::BoundingBox::FromCircle(c, rng.UniformDouble(1.0, max_size));
-}
-
-std::vector<int64_t> BruteForce(const std::vector<RTree::Entry>& entries,
-                                const geo::BoundingBox& query) {
-  std::vector<int64_t> out;
-  for (const auto& e : entries) {
-    if (e.box.Intersects(query)) out.push_back(e.id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-TEST(RTreeTest, EmptyTree) {
-  RTree tree;
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.Height(), 0);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_TRUE(tree.QueryIds(geo::BoundingBox::FromCorners({0, 0}, {1, 1})).empty());
-}
-
-TEST(RTreeTest, SingleEntry) {
-  RTree tree;
-  tree.Insert(geo::BoundingBox::FromCorners({0, 0}, {1, 1}), 7);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.Height(), 1);
-  const auto hits = tree.QueryIds(geo::BoundingBox::FromCorners({0.5, 0.5}, {2, 2}));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 7);
-  EXPECT_TRUE(tree.QueryIds(geo::BoundingBox::FromCorners({5, 5}, {6, 6})).empty());
-}
-
-TEST(RTreeTest, InsertMatchesBruteForce) {
-  stats::Rng rng(1);
-  RTree tree(8);
-  std::vector<RTree::Entry> entries;
-  for (int64_t i = 0; i < 500; ++i) {
-    const geo::BoundingBox box = RandomBox(rng, 1000.0, 30.0);
-    entries.push_back({box, i});
-    tree.Insert(box, i);
-  }
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), 500u);
-  EXPECT_GT(tree.Height(), 1);
-  for (int q = 0; q < 50; ++q) {
-    const geo::BoundingBox query = RandomBox(rng, 1000.0, 100.0);
-    auto got = tree.QueryIds(query);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteForce(entries, query)) << "query " << q;
-  }
-}
-
-TEST(RTreeTest, BulkLoadMatchesBruteForce) {
-  stats::Rng rng(2);
-  std::vector<RTree::Entry> entries;
-  for (int64_t i = 0; i < 2000; ++i) {
-    entries.push_back({RandomBox(rng, 5000.0, 40.0), i});
-  }
-  RTree tree(16);
-  tree.BulkLoad(entries);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), 2000u);
-  for (int q = 0; q < 50; ++q) {
-    const geo::BoundingBox query = RandomBox(rng, 5000.0, 200.0);
-    auto got = tree.QueryIds(query);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteForce(entries, query)) << "query " << q;
-  }
-}
-
-TEST(RTreeTest, BulkLoadEmptyAndTiny) {
-  RTree tree;
-  tree.BulkLoad({});
-  EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.CheckInvariants());
-  tree.BulkLoad({{geo::BoundingBox::FromCorners({0, 0}, {1, 1}), 1}});
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(RTreeTest, DuplicateBoxesAllReported) {
-  RTree tree(4);
-  const geo::BoundingBox box = geo::BoundingBox::FromCorners({0, 0}, {1, 1});
-  for (int64_t i = 0; i < 20; ++i) tree.Insert(box, i);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.QueryIds(box).size(), 20u);
-}
-
-TEST(RTreeTest, QueryCallbackReceivesEntries) {
-  RTree tree;
-  tree.Insert(geo::BoundingBox::FromCorners({0, 0}, {1, 1}), 3);
-  int64_t seen_id = -1;
-  tree.Query(geo::BoundingBox::FromCorners({0, 0}, {2, 2}),
-             [&seen_id](const RTree::Entry& e) { seen_id = e.id; });
-  EXPECT_EQ(seen_id, 3);
 }
 
 // ------------------------------------------------------------- GridIndex
@@ -161,6 +67,56 @@ TEST(GridIndexTest, MatchesBruteForceAndEmitsAscending) {
   }
 }
 
+// Hostile coordinates: NaN, infinite and far out-of-range centers and
+// query boxes must clamp to border cells (NaN to cell 0) before any
+// integer cast — the UBSan float-cast-overflow check fires otherwise — and
+// queries over finite entries still agree with the per-entry test.
+TEST(GridIndexTest, NonFiniteAndHugeCoordinatesClampWithoutUb) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double hostile[] = {kNan, kInf, -kInf, 1e300, -1e300};
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
+  GridIndex grid(region, 8);
+  stats::Rng rng(13);
+  std::vector<PointEntry> finite;
+  for (int64_t i = 0; i < 100; ++i) {
+    finite.push_back(RandomPointEntry(rng, 1000.0, 60.0, i));
+    grid.Insert(finite.back().center, finite.back().radius, i);
+  }
+  // Hostile points insert (into clamped cells) and relocate without UB.
+  int64_t id = 100;
+  for (const double v : hostile) {
+    grid.Insert({v, 500.0}, 10.0, id++);
+    grid.Insert({500.0, v}, 10.0, id++);
+    grid.Insert({v, v}, 10.0, id++);
+  }
+  EXPECT_EQ(grid.size(), 115u);
+  EXPECT_EQ(grid.Relocate(0, {kNan, -kInf}), 1u);
+  EXPECT_EQ(grid.Relocate(0, finite[0].center), 1u);
+  for (int64_t h = 100; h < id; ++h) EXPECT_EQ(grid.Remove(h), 1u);
+
+  // Hostile query boxes: none may crash, and with only finite entries left
+  // every answer equals the per-entry rectangle test.
+  std::vector<geo::BoundingBox> queries;
+  for (const double v : hostile) {
+    queries.push_back({v, 0.0, 1000.0, 1000.0});
+    queries.push_back({0.0, 0.0, v, 1000.0});
+    queries.push_back({0.0, v, 1000.0, v});
+    queries.push_back({v, v, v, v});
+  }
+  queries.push_back({-kInf, -kInf, kInf, kInf});
+  queries.push_back({-1e300, -1e300, 1e300, 1e300});
+  std::vector<GridIndex::CellVisit> visits;
+  for (const geo::BoundingBox& q : queries) {
+    const auto got = grid.QueryIds(q);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    EXPECT_EQ(got, BruteForcePoints(finite, q));
+    grid.VisitQueryCells(q, visits);
+  }
+  EXPECT_EQ(grid.QueryIds({-kInf, -kInf, kInf, kInf}).size(), finite.size());
+}
+
 TEST(GridIndexTest, OutOfOrderInsertionStaysAscending) {
   stats::Rng rng(8);
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
@@ -200,7 +156,7 @@ TEST(GridIndexTest, EntriesOutsideRegionClampToBorderCells) {
 
 TEST(GridIndexTest, CellCertificationAgreesWithMemberTests) {
   // Property: a bulk-accepted cell implies every member passes the scalar
-  // rectangle test; a skipped cell implies none does. Query() must agree
+  // rectangle test; a skipped cell implies none does. QueryIds() must agree
   // with brute force, and its certification counters must account for
   // every returned id.
   stats::Rng rng(9);
@@ -408,6 +364,7 @@ std::vector<UncertainRegionPruner::WorkerRegion> MakeRegions(int n,
   return regions;
 }
 
+// The grid-backed pruner against a linear scan of the pruning rectangles.
 TEST(PrunerTest, BackendsAgree) {
   stats::Rng rng(4);
   const double extent = 30000.0;
@@ -415,22 +372,21 @@ TEST(PrunerTest, BackendsAgree) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner linear(regions, params, params, 0.9,
-                                     PrunerBackend::kLinearScan, region);
-  const UncertainRegionPruner grid(regions, params, params, 0.9,
-                                   PrunerBackend::kGrid, region);
-  const UncertainRegionPruner rtree(regions, params, params, 0.9,
-                                    PrunerBackend::kRTree, region);
+  const UncertainRegionPruner grid(regions, params, params, 0.9, region);
   for (int q = 0; q < 30; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
-    auto a = linear.Candidates(task);
-    auto b = grid.Candidates(task);
-    auto c = rtree.Candidates(task);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    std::sort(c.begin(), c.end());
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(a, c);
+    const geo::BoundingBox task_box =
+        geo::BoundingBox::FromCircle(task, grid.task_confidence_radius_m());
+    std::vector<int64_t> linear;
+    for (const auto& w : regions) {
+      if (geo::BoundingBox::FromCircle(
+              w.noisy_location,
+              grid.worker_confidence_radius_m() + w.reach_radius_m)
+              .Intersects(task_box)) {
+        linear.push_back(w.worker_id);
+      }
+    }
+    EXPECT_EQ(grid.Candidates(task), linear) << "query " << q;
   }
 }
 
@@ -443,8 +399,7 @@ TEST(PrunerTest, NeverDropsOverlappingDiskPairs) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner pruner(regions, params, params, 0.9,
-                                     PrunerBackend::kGrid, region);
+  const UncertainRegionPruner pruner(regions, params, params, 0.9, region);
   for (int q = 0; q < 50; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     auto candidates = pruner.Candidates(task);
@@ -469,10 +424,8 @@ TEST(PrunerTest, ConfidenceRadiusGrowsWithGamma) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {1000, 1000});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner p50(regions, params, params, 0.5,
-                                  PrunerBackend::kLinearScan, region);
-  const UncertainRegionPruner p99(regions, params, params, 0.99,
-                                  PrunerBackend::kLinearScan, region);
+  const UncertainRegionPruner p50(regions, params, params, 0.5, region);
+  const UncertainRegionPruner p99(regions, params, params, 0.99, region);
   EXPECT_LT(p50.worker_confidence_radius_m(), p99.worker_confidence_radius_m());
 }
 
@@ -483,8 +436,7 @@ TEST(PrunerTest, FarTaskPrunesMostWorkers) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{1.0, 200.0};  // Little noise.
-  const UncertainRegionPruner pruner(regions, params, params, 0.9,
-                                     PrunerBackend::kRTree, region);
+  const UncertainRegionPruner pruner(regions, params, params, 0.9, region);
   // A task far outside the deployment region keeps almost nothing.
   const auto candidates = pruner.Candidates({extent * 3, extent * 3});
   EXPECT_LT(candidates.size(), 5u);

@@ -5,7 +5,7 @@
 
 #include "assign/algorithms.h"
 #include "assign/scguard_engine.h"
-#include "data/workload.h"
+#include "oracle.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
@@ -26,44 +26,25 @@ using privacy::PrivacyParams;
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
 Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
-
-/// Asserts two runs produced the same protocol outcome bit for bit:
-/// assignment sequence (ids and exact travel distances) and every
-/// decision-derived metric. Timing metrics are excluded.
-void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << label;
-  for (size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].task_id, b.assignments[i].task_id) << label;
-    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id) << label;
-    EXPECT_EQ(a.assignments[i].travel_m, b.assignments[i].travel_m) << label;
-  }
-  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks) << label;
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum) << label;
-  EXPECT_EQ(a.metrics.false_hits, b.metrics.false_hits) << label;
-  EXPECT_EQ(a.metrics.false_dismissals, b.metrics.false_dismissals) << label;
-  EXPECT_EQ(a.metrics.requester_to_worker_msgs,
-            b.metrics.requester_to_worker_msgs)
-      << label;
-  EXPECT_EQ(a.metrics.precision_sum, b.metrics.precision_sum) << label;
-  EXPECT_EQ(a.metrics.recall_sum, b.metrics.recall_sum) << label;
+  return oracle::NoisyWorkload(n, n, seed);
 }
 
 // ------------------------------------------- Engine bit-identity contract
 
-// The headline exactness contract: flipping the threshold kernel changes
-// nothing observable — same assignments, same metrics, same RNG stream —
-// across all three reachability models.
+/// Diffs the engine a matcher handle runs against the oracle.
+void ExpectMatchesOracle(const MatcherHandle& handle, const Workload& w,
+                         uint64_t seed, const std::string& label) {
+  const auto* engine =
+      dynamic_cast<const assign::ScGuardEngine*>(handle.matcher.get());
+  ASSERT_NE(engine, nullptr) << label;
+  oracle::ExpectEngineMatches(oracle::Expect(engine->policy(), w, seed),
+                              engine->policy(), w, seed, label);
+}
+
+// The headline exactness contract: the threshold kernel changes nothing
+// observable against direct evaluation of every pair (the oracle) — same
+// assignments, same metrics, same RNG stream — across all three
+// reachability models.
 TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalAcrossModels) {
   const Workload w = NoisyWorkload(120, 31);
   stats::Rng build_rng(32);
@@ -95,43 +76,21 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalAcrossModels) {
     AlgorithmParams params;
     params.worker_params = kDefault;
     params.task_params = kDefault;
-    params.kernel.alpha_thresholds = true;
-    MatcherHandle on = make(params, empirical);
-    params.kernel.alpha_thresholds = false;
-    MatcherHandle off = make(params, empirical);
-    stats::Rng rng_on(33), rng_off(33);
-    const MatchResult a = on.Run(w, rng_on);
-    const MatchResult b = off.Run(w, rng_off);
-    ExpectBitIdentical(a, b, label);
-    // Both runs must have consumed the RNG stream identically.
-    EXPECT_EQ(rng_on.UniformDouble(), rng_off.UniformDouble()) << label;
+    ExpectMatchesOracle(make(params, empirical), w, 33, label);
   }
 }
 
 TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalUnderPruning) {
   const Workload w = NoisyWorkload(150, 34);
-  for (auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
-    AlgorithmParams params;
-    params.worker_params = kDefault;
-    params.task_params = kDefault;
-    params.pruning_gamma = 0.9;
-    params.pruning_backend = backend;
-    params.kernel.alpha_thresholds = true;
-    MatcherHandle on = MakeProbabilisticModel(params);
-    params.kernel.alpha_thresholds = false;
-    MatcherHandle off = MakeProbabilisticModel(params);
-    stats::Rng rng_on(35), rng_off(35);
-    const MatchResult a = on.Run(w, rng_on);
-    const MatchResult b = off.Run(w, rng_off);
-    ExpectBitIdentical(a, b, std::string(index::PrunerBackendName(backend)));
-    EXPECT_EQ(rng_on.UniformDouble(), rng_off.UniformDouble());
-  }
+  AlgorithmParams params;
+  params.worker_params = kDefault;
+  params.task_params = kDefault;
+  params.pruning_gamma = 0.9;
+  ExpectMatchesOracle(MakeProbabilisticModel(params), w, 35, "grid");
 }
 
 // Sorted-pruner satellite: pruned runs must also match the unpruned scan
-// exactly at near-certain gamma (the engine no longer re-sorts, so this
+// exactly at near-certain gamma (the engine never re-sorts, so this
 // doubles as the ascending-id contract check).
 TEST(KernelEngineTest, PrunedRunsStayIdenticalToUnprunedAtHighGamma) {
   const Workload w = NoisyWorkload(100, 36);
@@ -141,16 +100,25 @@ TEST(KernelEngineTest, PrunedRunsStayIdenticalToUnprunedAtHighGamma) {
   MatcherHandle plain = MakeProbabilisticModel(params);
   stats::Rng rng_plain(37);
   const MatchResult base = plain.Run(w, rng_plain);
-  for (auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
-    params.pruning_gamma = 0.999;
-    params.pruning_backend = backend;
-    MatcherHandle pruned = MakeProbabilisticModel(params);
-    stats::Rng rng(37);
-    ExpectBitIdentical(base, pruned.Run(w, rng),
-                       std::string(index::PrunerBackendName(backend)));
+  params.pruning_gamma = 0.999;
+  MatcherHandle pruned = MakeProbabilisticModel(params);
+  stats::Rng rng(37);
+  const MatchResult got = pruned.Run(w, rng);
+  // Same decisions; only the scan work shrinks.
+  ASSERT_EQ(base.assignments.size(), got.assignments.size());
+  for (size_t i = 0; i < base.assignments.size(); ++i) {
+    EXPECT_EQ(base.assignments[i].task_id, got.assignments[i].task_id);
+    EXPECT_EQ(base.assignments[i].worker_id, got.assignments[i].worker_id);
+    EXPECT_EQ(base.assignments[i].travel_m, got.assignments[i].travel_m);
   }
+  EXPECT_EQ(base.metrics.candidates_sum, got.metrics.candidates_sum);
+  EXPECT_EQ(base.metrics.false_hits, got.metrics.false_hits);
+  EXPECT_EQ(base.metrics.false_dismissals, got.metrics.false_dismissals);
+  EXPECT_EQ(base.metrics.requester_to_worker_msgs,
+            got.metrics.requester_to_worker_msgs);
+  EXPECT_EQ(base.metrics.precision_sum, got.metrics.precision_sum);
+  EXPECT_EQ(base.metrics.recall_sum, got.metrics.recall_sum);
+  EXPECT_LT(got.metrics.u2u_scanned, base.metrics.u2u_scanned);
 }
 
 // ------------------------------------------------- Threshold inversion

@@ -1,11 +1,12 @@
 // The cell-major scoring mirror (DESIGN.md section 13): bit-identity of the
-// mirror Collect path against the gather path across models, pruner
-// backends, SIMD dispatch, and thread pools; incremental slice-sync under
-// index churn; and the range classification kernels against their scalar
-// references.
+// mirror Collect path against the naive oracle's rectangle-and-direct-eval
+// loop (tests/oracle.h) across models, SIMD dispatch, and thread pools;
+// incremental slice-sync under index churn; and the range classification
+// kernels against their scalar references.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -15,10 +16,10 @@
 #include "assign/scguard_engine.h"
 #include "assign/stages/candidate_stage.h"
 #include "assign/stages/cell_mirror.h"
-#include "data/workload.h"
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
+#include "oracle.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
@@ -34,54 +35,22 @@ using privacy::PrivacyParams;
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
 Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
+  return oracle::NoisyWorkload(n, n, seed);
 }
 
-/// Full decision-level equality: assignment sequence, every decision-derived
-/// metric, and (unlike the parallel test) the mirror traffic counters —
-/// which must also be pool/SIMD invariant within one mirror setting.
-void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
-                        bool compare_traffic, const std::string& label) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << label;
-  for (size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].task_id, b.assignments[i].task_id) << label;
-    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id) << label;
-    EXPECT_EQ(a.assignments[i].travel_m, b.assignments[i].travel_m) << label;
-  }
-  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks) << label;
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum) << label;
-  EXPECT_EQ(a.metrics.false_hits, b.metrics.false_hits) << label;
-  EXPECT_EQ(a.metrics.false_dismissals, b.metrics.false_dismissals) << label;
-  EXPECT_EQ(a.metrics.requester_to_worker_msgs,
-            b.metrics.requester_to_worker_msgs)
+/// The traffic-model counters, which must be pool/SIMD invariant too.
+void ExpectSameTraffic(const MatchResult& a, const MatchResult& b,
+                       const std::string& label) {
+  EXPECT_EQ(a.metrics.u2u_gather_bytes, b.metrics.u2u_gather_bytes) << label;
+  EXPECT_EQ(a.metrics.cells_emitted_direct, b.metrics.cells_emitted_direct)
       << label;
-  EXPECT_EQ(a.metrics.precision_sum, b.metrics.precision_sum) << label;
-  EXPECT_EQ(a.metrics.recall_sum, b.metrics.recall_sum) << label;
-  EXPECT_EQ(a.metrics.u2u_scanned, b.metrics.u2u_scanned) << label;
-  EXPECT_EQ(a.metrics.u2u_scanned_first_task, b.metrics.u2u_scanned_first_task)
-      << label;
-  EXPECT_EQ(a.metrics.u2u_scanned_last_task, b.metrics.u2u_scanned_last_task)
-      << label;
-  if (compare_traffic) {
-    EXPECT_EQ(a.metrics.u2u_gather_bytes, b.metrics.u2u_gather_bytes) << label;
-    EXPECT_EQ(a.metrics.cells_emitted_direct, b.metrics.cells_emitted_direct)
-        << label;
-  }
 }
 
-// The ISSUE 8 acceptance sweep: for three models and every pruner backend,
-// the mirror path must reproduce the gather path's MatchResult and caller
-// RNG stream bit for bit under forced-scalar and auto SIMD dispatch and
-// pools {serial, 1, 8}; and within one mirror setting the traffic counters
-// themselves must be pool/SIMD invariant.
+// The acceptance sweep: for three models and pruning off / on (the mirror
+// path), the engine must reproduce the oracle's MatchResult and caller RNG
+// stream bit for bit under forced-scalar and auto SIMD dispatch and pools
+// {serial, 1, 8}; and the traffic counters themselves must be pool/SIMD
+// invariant.
 TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   const reachability::AnalyticalModel analytical(kDefault);
   const reachability::BinaryModel binary;
@@ -109,19 +78,9 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
       {"binary", &binary},
       {"empirical", &*empirical},
   };
-  struct PrunerCase {
-    const char* name;
-    std::optional<double> gamma;
-    index::PrunerBackend backend;
-  };
-  const PrunerCase pruners[] = {
-      {"off", std::nullopt, index::PrunerBackend::kGrid},
-      {"grid", 0.9, index::PrunerBackend::kGrid},
-      {"rtree", 0.9, index::PrunerBackend::kRTree},
-  };
 
   for (const ModelCase& mc : models) {
-    for (const PrunerCase& pc : pruners) {
+    for (const bool prune : {false, true}) {
       EnginePolicy base;
       base.u2u_model = mc.model;
       base.u2e_model = mc.model;
@@ -130,56 +89,35 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
       base.rank = RankStrategy::kProbability;
       base.worker_params = kDefault;
       base.task_params = kDefault;
-      base.pruning_gamma = pc.gamma;
-      base.pruning_backend = pc.backend;
+      if (prune) base.pruning_gamma = 0.9;
+      const std::string pruner = prune ? "grid" : "off";
 
-      // Per-mirror-setting baselines: serial, forced-scalar.
-      MatchResult expected[2];
-      double expected_next_draw[2];
-      for (const bool mirror : {false, true}) {
-        EnginePolicy policy = base;
-        policy.runtime.cell_mirror = mirror;
-        reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
-        ScGuardEngine engine(policy);
-        stats::Rng rng(7);
-        expected[mirror ? 1 : 0] = engine.Run(workload, rng);
-        expected_next_draw[mirror ? 1 : 0] = rng.UniformDouble();
-        reachability::ResetClassifySimd();
-      }
-      ASSERT_GT(expected[0].metrics.assigned_tasks, 0)
-          << mc.name << "/" << pc.name;
-      // Mirror on vs off: identical decisions; only the traffic model of
-      // the counters differs.
-      ExpectBitIdentical(expected[0], expected[1], /*compare_traffic=*/false,
-                         std::string(mc.name) + "/" + pc.name +
-                             " mirror on-vs-off baseline");
-      EXPECT_EQ(expected_next_draw[0], expected_next_draw[1]);
+      const oracle::Expected want = oracle::Expect(base, workload, 7);
+      ASSERT_GT(want.result.metrics.assigned_tasks, 0)
+          << mc.name << "/" << pruner;
 
-      for (const bool mirror : {false, true}) {
-        for (const bool force_scalar : {true, false}) {
-          for (const auto& pool : pools) {
-            EnginePolicy policy = base;
-            policy.runtime.cell_mirror = mirror;
-            policy.runtime.pool = pool.get();
-            policy.runtime.shard_size = 64;  // Multiple chunks per task.
-            if (force_scalar) {
-              reachability::SetClassifySimd(
-                  reachability::ClassifySimd::kScalar);
-            }
-            ScGuardEngine engine(policy);
-            stats::Rng rng(7);
-            const MatchResult result = engine.Run(workload, rng);
-            reachability::ResetClassifySimd();
-            const std::string label =
-                std::string(mc.name) + "/" + pc.name +
-                " mirror=" + (mirror ? "on" : "off") +
-                " simd=" + (force_scalar ? "scalar" : "auto") +
-                " threads=" + std::to_string(pool ? pool->num_threads() : 0);
-            ExpectBitIdentical(expected[mirror ? 1 : 0], result,
-                               /*compare_traffic=*/true, label);
-            EXPECT_EQ(expected_next_draw[mirror ? 1 : 0], rng.UniformDouble())
-                << label;
+      // Serial forced-scalar baseline of the traffic counters.
+      reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
+      const MatchResult baseline = oracle::ExpectEngineMatches(
+          want, base, workload, 7, std::string(mc.name) + "/" + pruner);
+      reachability::ResetClassifySimd();
+
+      for (const bool force_scalar : {true, false}) {
+        for (const auto& pool : pools) {
+          EnginePolicy policy = base;
+          policy.runtime.pool = pool.get();
+          policy.runtime.shard_size = 64;  // Multiple chunks per task.
+          if (force_scalar) {
+            reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
           }
+          const std::string label =
+              std::string(mc.name) + "/" + pruner +
+              " simd=" + (force_scalar ? "scalar" : "auto") +
+              " threads=" + std::to_string(pool ? pool->num_threads() : 0);
+          ExpectSameTraffic(baseline, oracle::ExpectEngineMatches(
+                                          want, policy, workload, 7, label),
+                            label);
+          reachability::ResetClassifySimd();
         }
       }
     }
@@ -187,8 +125,10 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
 }
 
 // A dense grid-pruned run must actually exercise the certificate-direct
-// path (cells emitted with zero per-worker loads), and the mirror's traffic
-// must come in under the gather model's for the same scanned workers.
+// path (cells emitted with zero per-worker loads), and the mirror's
+// modeled traffic must come in under a scattered gather of the same
+// scanned workers (one 64 B line per SoA stream: x, y, accept_sq,
+// reject_sq).
 TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(2000, 20260810);
@@ -202,25 +142,14 @@ TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   policy.task_params = kDefault;
   policy.compute_accuracy_metrics = false;
   policy.pruning_gamma = 0.9;
-  policy.pruning_backend = index::PrunerBackend::kGrid;
 
-  EnginePolicy off = policy;
-  off.runtime.cell_mirror = false;
-  ScGuardEngine engine_on(policy);
-  ScGuardEngine engine_off(off);
-  stats::Rng rng_on(3);
-  stats::Rng rng_off(3);
-  const MatchResult r_on = engine_on.Run(workload, rng_on);
-  const MatchResult r_off = engine_off.Run(workload, rng_off);
-  ExpectBitIdentical(r_on, r_off, /*compare_traffic=*/false, "dense grid");
+  const MatchResult r = oracle::ExpectEngineMatches(
+      oracle::Expect(policy, workload, 3), policy, workload, 3,
+      "dense grid vs oracle");
 
-  EXPECT_GT(r_on.metrics.cells_emitted_direct, 0);
-  EXPECT_EQ(r_off.metrics.cells_emitted_direct, 0);
-  // Gather model: 4 scattered 64 B lines per scanned worker. The mirror
-  // streams at most 44 B per scanned worker plus id runs, so it must come
-  // in strictly below.
-  ASSERT_GT(r_off.metrics.u2u_gather_bytes, 0);
-  EXPECT_LT(r_on.metrics.u2u_gather_bytes, r_off.metrics.u2u_gather_bytes);
+  EXPECT_GT(r.metrics.cells_emitted_direct, 0);
+  ASSERT_GT(r.metrics.u2u_scanned, 0);
+  EXPECT_LT(r.metrics.u2u_gather_bytes, 256 * r.metrics.u2u_scanned);
 }
 
 // ---- Incremental slice sync under churn ------------------------------
@@ -391,9 +320,10 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
   mirror.ForgetGrid();
 }
 
-// Stage-level churn: a mirror-on and a mirror-off stage driven through the
-// same AddWorker / Collect / MarkMatched / UpdateWorkerLocation sequence
-// must emit identical candidate lists and scan accounting throughout.
+// Stage-level churn: the mirror stage and the oracle's mirror-free U2U
+// loop, driven through the same AddWorker / Collect / MarkMatched /
+// UpdateWorkerLocation / ResetAvailability sequence, must emit identical
+// candidate lists and scan accounting throughout.
 TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
@@ -404,54 +334,58 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
   config.alpha = 0.1;
   config.pruning = U2uCandidateStage::Pruning{
       0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
-  U2uCandidateStage::Config config_off = config;
-  config_off.runtime.cell_mirror = false;
-
   U2uCandidateStage on(config);
-  U2uCandidateStage off(config_off);
+  EnginePolicy policy;
+  policy.u2u_model = &model;
+  policy.alpha = 0.1;
+  policy.pruning_gamma = 0.9;
+  policy.worker_params = kDefault;
+  policy.task_params = kDefault;
+  const oracle::NaiveU2u off(policy, region);
 
   stats::Rng rng(23);
   const size_t n = 500;
   std::vector<geo::Point> locs(n);
+  std::vector<double> radii(n);
+  std::vector<uint8_t> matched(n, 0);
   for (size_t i = 0; i < n; ++i) {
     locs[i] = {rng.UniformDouble(0.0, 20000.0),
                rng.UniformDouble(0.0, 20000.0)};
-    const double r = rng.UniformDouble(800.0, 2500.0);
-    on.AddWorker(locs[i], r);
-    off.AddWorker(locs[i], r);
+    radii[i] = rng.UniformDouble(800.0, 2500.0);
+    on.AddWorker(locs[i], radii[i]);
   }
 
   for (int step = 0; step < 60; ++step) {
     const geo::Point task{rng.UniformDouble(0.0, 20000.0),
                           rng.UniformDouble(0.0, 20000.0)};
     const std::vector<uint32_t> got_on = on.Collect(task);
-    const std::vector<uint32_t> got_off = off.Collect(task);
+    int64_t scanned_off = 0;
+    const std::vector<uint32_t> got_off =
+        off.Collect(locs, radii, matched, task, &scanned_off);
     const std::string label = "step " + std::to_string(step);
     EXPECT_EQ(got_on, got_off) << label;
+    EXPECT_EQ(on.stats().scanned_last, scanned_off) << label;
     EXPECT_EQ(on.stats().scanned_last + on.stats().pruned_last,
-              off.stats().scanned_last + off.stats().pruned_last)
+              static_cast<int64_t>(n))
         << label;
-    EXPECT_EQ(on.stats().scanned_last, off.stats().scanned_last) << label;
 
     if (!got_on.empty()) {
       // Match the best candidate, as the engine would.
       on.MarkMatched(got_on.front());
-      off.MarkMatched(got_on.front());
+      matched[got_on.front()] = 1;
     }
     if (step % 7 == 3) {
       const auto mover =
           static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
-      const geo::Point moved{rng.UniformDouble(0.0, 20000.0),
-                             rng.UniformDouble(0.0, 20000.0)};
-      on.UpdateWorkerLocation(mover, moved);
-      off.UpdateWorkerLocation(mover, moved);
+      locs[mover] = {rng.UniformDouble(0.0, 20000.0),
+                     rng.UniformDouble(0.0, 20000.0)};
+      on.UpdateWorkerLocation(mover, locs[mover]);
     }
     if (step == 40) {
       on.ResetAvailability();
-      off.ResetAvailability();
+      std::fill(matched.begin(), matched.end(), uint8_t{0});
     }
   }
-  EXPECT_EQ(on.band_evals(), off.band_evals());
   EXPECT_GT(on.stats().cells_emitted_direct + on.stats().gather_bytes, 0);
 }
 

@@ -376,6 +376,20 @@ TEST(ObsDeterminismTest, CounterSnapshotsRepeatForFixedSeed) {
   // Sanity: the engine actually reported work (60 tasks x 4 seeds).
   EXPECT_EQ(first.counters.at("scguard.engine.tasks"), 240);
   EXPECT_GT(first.counters.at("scguard.engine.workers_evaluated"), 0);
+
+  // Workers scanned per task sit on count bounds (powers of two), not the
+  // latency ladder: one sample per task summing to the evaluated total,
+  // and a median inside the grid within one bucket of the mean.
+  const auto& scan = first.histograms.at("scguard.engine.u2u_scan_workers");
+  const auto evaluated = first.counters.at("scguard.engine.workers_evaluated");
+  EXPECT_EQ(scan.count, 240);
+  EXPECT_EQ(scan.sum, static_cast<double>(evaluated));
+  EXPECT_LT(scan.p50, static_cast<double>(1 << 24));
+  const double mean = static_cast<double>(evaluated) / 240.0;
+  EXPECT_LE(std::abs(std::ceil(std::log2(scan.p50)) -
+                     std::ceil(std::log2(mean))),
+            1.0)
+      << "p50 " << scan.p50 << " mean " << mean;
 }
 
 }  // namespace

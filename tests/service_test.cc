@@ -10,12 +10,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "assign/scguard_engine.h"
-#include "data/workload.h"
 #include "geo/bbox.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
+#include "obs/obs_config.h"
+#include "obs/recorder.h"
+#include "oracle.h"
 #include "privacy/mechanism.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
@@ -26,21 +33,10 @@
 namespace scguard::service {
 namespace {
 
+using oracle::NoisyWorkload;
 using privacy::PrivacyParams;
 
 constexpr PrivacyParams kDefault{0.7, 800.0};
-
-assign::Workload NoisyWorkload(int workers, int tasks, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = workers;
-  config.num_tasks = tasks;
-  stats::Rng rng(seed);
-  assign::Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
 
 ServiceConfig BaseConfig(const reachability::ReachabilityModel* model,
                          const geo::BoundingBox& region) {
@@ -53,7 +49,6 @@ ServiceConfig BaseConfig(const reachability::ReachabilityModel* model,
   config.worker_params = kDefault;
   config.task_params = kDefault;
   config.pruning_gamma = 0.9;
-  config.pruning_backend = index::PrunerBackend::kGrid;
   config.region = region;
   return config;
 }
@@ -259,18 +254,8 @@ TEST(ServiceTest, MatchesEngineWithoutReports) {
   }
   svc.Stop(AssignmentService::StopMode::kDrain);
 
-  assign::EnginePolicy policy;
-  policy.u2u_model = &model;
-  policy.u2e_model = &model;
-  policy.alpha = config.alpha;
-  policy.beta = config.beta;
-  policy.rank = config.rank;
-  policy.worker_params = kDefault;
-  policy.task_params = kDefault;
-  policy.pruning_gamma = config.pruning_gamma;
-  policy.pruning_backend = config.pruning_backend;
-  policy.compute_accuracy_metrics = false;
-  assign::ScGuardEngine engine(std::move(policy));
+  // The service config *is* an engine policy (accuracy scan off).
+  assign::ScGuardEngine engine(static_cast<const assign::EnginePolicy&>(config));
   stats::Rng rng(42);
   const assign::MatchResult run = engine.Run(workload, rng);
 
@@ -309,6 +294,125 @@ TEST(ServiceTest, QueueFullBackpressureRejectsWithoutBlocking) {
   svc.Start();
   svc.Stop(AssignmentService::StopMode::kDrain);
   EXPECT_EQ(svc.completions().size(), 8u);
+}
+
+TEST(ServiceTest, MalformedIngestIsCountedNotAdmitted) {
+  // Hostile producers: unknown worker ids and non-finite coordinates in
+  // reports, non-finite task locations. Each is refused and counted (never
+  // an abort, never admitted), and the run still equals the serial replay
+  // of what was admitted.
+  const assign::Workload workload = NoisyWorkload(200, 150, 7005);
+  const reachability::AnalyticalModel model(kDefault);
+  const ServiceConfig config = BaseConfig(&model, workload.region);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const geo::Point ok{5000.0, 5000.0};
+  const geo::Point bad[] = {{kNan, 1.0}, {1.0, kInf}, {-kInf, kNan}};
+  const auto n = static_cast<uint32_t>(workload.workers.size());
+
+  AssignmentService live(config);
+  for (const auto& w : workload.workers) live.RegisterWorker(w);
+  live.Start();
+  int64_t bad_reports = 0;
+  int64_t bad_tasks = 0;
+  std::thread hostile([&] {
+    for (const uint32_t id : {n, n + 1, 0xffffffffu}) {
+      EXPECT_FALSE(live.ReportLocation(id, ok, ok));
+      ++bad_reports;
+    }
+    for (const geo::Point p : bad) {
+      EXPECT_FALSE(live.ReportLocation(0, p, ok));
+      EXPECT_FALSE(live.ReportLocation(1, ok, p));
+      bad_reports += 2;
+    }
+  });
+  stats::Rng rng(8);
+  const auto noise = privacy::MakeMechanismOrDie(kDefault);
+  int64_t good_reports = 0;
+  for (size_t k = 0; k < workload.tasks.size(); ++k) {
+    assign::Task t = workload.tasks[k];
+    if (k % 10 == 3) {
+      // Corrupt one of the two locations.
+      (k % 20 == 3 ? t.location : t.noisy_location) = bad[k % 3];
+      EXPECT_FALSE(live.SubmitTask(t));
+      ++bad_tasks;
+      continue;
+    }
+    while (!live.SubmitTask(t)) std::this_thread::yield();
+    const auto w = static_cast<uint32_t>(rng.UniformInt(n));
+    const geo::Point p = workload.workers[w].location;
+    while (!live.ReportLocation(w, p, noise->Perturb(p, rng))) {
+      std::this_thread::yield();
+    }
+    ++good_reports;
+  }
+  hostile.join();
+  live.Stop(AssignmentService::StopMode::kDrain);
+
+  const IngestStats ingest = live.ingest_stats();
+  EXPECT_EQ(ingest.tasks_invalid, bad_tasks);
+  EXPECT_EQ(ingest.reports_invalid, bad_reports);
+  EXPECT_EQ(ingest.tasks_submitted,
+            static_cast<int64_t>(workload.tasks.size()) - bad_tasks);
+  EXPECT_EQ(ingest.reports_submitted, good_reports);
+  EXPECT_EQ(static_cast<int64_t>(live.admission_log().size()),
+            ingest.tasks_submitted + good_reports);
+  EXPECT_GT(live.metrics().assigned_tasks, 0);
+
+  AssignmentService replay(config);
+  for (const auto& w : workload.workers) replay.RegisterWorker(w);
+  replay.Replay(live.admission_log());
+  ExpectSameResults(live, replay, "hostile live vs replay");
+}
+
+TEST(ServiceTest, EmitsEngineStageHistogramsAndSpans) {
+  // The service runs the engine's TaskPipeline, so with obs on it emits the
+  // same per-stage histograms, counters and recorder spans as the engine.
+  const assign::Workload workload = NoisyWorkload(150, 60, 7006);
+  const reachability::AnalyticalModel model(kDefault);
+  obs::ObsConfig on;
+  on.enabled = true;
+  on.recorder = true;
+  obs::SetConfig(on);
+  obs::ResetGlobal();
+  obs::FlightRecorder::Global().Reset();
+
+  AssignmentService svc(BaseConfig(&model, workload.region));
+  for (const auto& w : workload.workers) svc.RegisterWorker(w);
+  svc.Start();
+  for (const auto& t : workload.tasks) {
+    while (!svc.SubmitTask(t)) std::this_thread::yield();
+  }
+  svc.Stop(AssignmentService::StopMode::kDrain);
+
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  auto& recorder = obs::FlightRecorder::Global();
+  const std::vector<obs::TraceEvent> events = recorder.Drain();
+  const std::vector<std::string> names = recorder.names();
+  obs::SetConfig(obs::ObsConfig{});
+  obs::FlightRecorder::Global().Reset();
+  obs::ResetGlobal();
+
+  EXPECT_EQ(snapshot.histograms.at("scguard.engine.u2u_seconds").count,
+            static_cast<int64_t>(workload.tasks.size()));
+  EXPECT_GT(snapshot.histograms.at("scguard.engine.u2e_seconds").count, 0);
+  EXPECT_GT(snapshot.histograms.at("scguard.engine.e2e_seconds").count, 0);
+  EXPECT_EQ(snapshot.counters.at("scguard.engine.tasks"),
+            static_cast<int64_t>(workload.tasks.size()));
+  EXPECT_EQ(snapshot.counters.at("scguard.engine.disclosures"),
+            svc.metrics().requester_to_worker_msgs);
+  EXPECT_EQ(snapshot.counters.count("scguard.service.workers_evaluated"), 0u);
+  std::map<std::string, int> span_begins;
+  for (const obs::TraceEvent& e : events) {
+    if (e.type == static_cast<uint8_t>(obs::EventType::kSpanBegin)) {
+      ++span_begins[names[e.name_id]];
+    }
+  }
+  EXPECT_EQ(span_begins["engine.u2u"],
+            static_cast<int>(workload.tasks.size()));
+  EXPECT_GT(span_begins["engine.u2e"], 0);
+  EXPECT_GT(span_begins["engine.e2e"], 0);
 }
 
 TEST(ServiceTest, ReportReactivatesMatchedWorker) {
@@ -354,7 +458,6 @@ TEST(ServiceTest, ReportReactivatesMatchedWorker) {
     config.region = region;
     config.reactivate_on_report = reactivate;
     config.pruning_gamma = 0.9;
-    config.pruning_backend = index::PrunerBackend::kGrid;
     AssignmentService svc(config);
     svc.RegisterWorker(w);
     svc.Replay({make_event(t1), report, make_event(t2)});

@@ -3,9 +3,9 @@
 // (b) the core protocol parties (TaskingServer / RequesterDevice /
 // ProtocolCoordinator), and (c) a hand-rolled sim/dynamic-style driver that
 // calls the three stages directly must produce identical assignment sets
-// and disclosure counts. Swept over three reachability models, the pruning
-// index on/off, and the threshold kernel on/off; the core parties have no
-// pruning path, so pruned combinations compare (a) against (c) only.
+// and disclosure counts. Swept over three reachability models and the
+// pruning index on/off; the core parties have no pruning path, so pruned
+// combinations compare (a) against (c) only.
 
 #include <gtest/gtest.h>
 
@@ -53,23 +53,16 @@ assign::Workload MakeWorkload() {
   return workload;
 }
 
-reachability::KernelOptions Kernel(bool on) {
-  reachability::KernelOptions kernel;
-  kernel.alpha_thresholds = on;
-  return kernel;
-}
-
 // (a) The batch engine.
 PipelineResult RunEngine(const assign::Workload& workload,
                          const reachability::ReachabilityModel* model,
-                         bool pruner_on, bool kernel_on) {
+                         bool pruner_on) {
   assign::EnginePolicy policy;
   policy.u2u_model = model;
   policy.u2e_model = model;
   policy.alpha = kAlpha;
   policy.beta = kBeta;
   policy.rank = assign::RankStrategy::kProbability;
-  policy.kernel = Kernel(kernel_on);
   policy.worker_params = kParams;
   policy.task_params = kParams;
   if (pruner_on) policy.pruning_gamma = kGamma;
@@ -86,9 +79,8 @@ PipelineResult RunEngine(const assign::Workload& workload,
 
 // (b) The message-level protocol parties.
 PipelineResult RunParties(const assign::Workload& workload,
-                          const reachability::ReachabilityModel* model,
-                          bool kernel_on) {
-  core::TaskingServer server(model, kAlpha, Kernel(kernel_on));
+                          const reachability::ReachabilityModel* model) {
+  core::TaskingServer server(model, kAlpha);
   std::vector<core::WorkerDevice> devices;
   for (const auto& w : workload.workers) {
     devices.emplace_back(w.id, w.location, w.reach_radius_m, kParams);
@@ -112,11 +104,10 @@ PipelineResult RunParties(const assign::Workload& workload,
 // (c) A dynamic-simulator-style driver over the raw stages.
 PipelineResult RunStageDriver(const assign::Workload& workload,
                               const reachability::ReachabilityModel* model,
-                              bool pruner_on, bool kernel_on) {
+                              bool pruner_on) {
   assign::U2uCandidateStage::Config u2u_config;
   u2u_config.model = model;
   u2u_config.alpha = kAlpha;
-  u2u_config.kernel = Kernel(kernel_on);
   if (pruner_on) {
     u2u_config.pruning = assign::U2uCandidateStage::Pruning{
         kGamma, index::PrunerBackend::kGrid, kParams, kParams,
@@ -193,20 +184,17 @@ const reachability::EmpiricalModel* StageEquivalenceTest::empirical_ = nullptr;
 
 TEST_F(StageEquivalenceTest, EngineMatchesPartiesAndDriver) {
   for (const auto* model : Models()) {
-    for (const bool kernel_on : {false, true}) {
-      SCOPED_TRACE(std::string(model->name()) +
-                   (kernel_on ? "/kernel" : "/direct"));
-      const PipelineResult engine =
-          RunEngine(*workload_, model, /*pruner_on=*/false, kernel_on);
-      const PipelineResult parties = RunParties(*workload_, model, kernel_on);
-      const PipelineResult driver =
-          RunStageDriver(*workload_, model, /*pruner_on=*/false, kernel_on);
-      EXPECT_EQ(engine.pairs, parties.pairs);
-      EXPECT_EQ(engine.disclosures, parties.disclosures);
-      EXPECT_EQ(engine.pairs, driver.pairs);
-      EXPECT_EQ(engine.disclosures, driver.disclosures);
-      EXPECT_FALSE(engine.pairs.empty());
-    }
+    SCOPED_TRACE(std::string(model->name()));
+    const PipelineResult engine =
+        RunEngine(*workload_, model, /*pruner_on=*/false);
+    const PipelineResult parties = RunParties(*workload_, model);
+    const PipelineResult driver =
+        RunStageDriver(*workload_, model, /*pruner_on=*/false);
+    EXPECT_EQ(engine.pairs, parties.pairs);
+    EXPECT_EQ(engine.disclosures, parties.disclosures);
+    EXPECT_EQ(engine.pairs, driver.pairs);
+    EXPECT_EQ(engine.disclosures, driver.disclosures);
+    EXPECT_FALSE(engine.pairs.empty());
   }
 }
 
@@ -214,17 +202,14 @@ TEST_F(StageEquivalenceTest, EngineMatchesPartiesAndDriver) {
 // counterpart, so pruned runs compare the two stage-built pipelines.
 TEST_F(StageEquivalenceTest, PrunedEngineMatchesDriver) {
   for (const auto* model : Models()) {
-    for (const bool kernel_on : {false, true}) {
-      SCOPED_TRACE(std::string(model->name()) +
-                   (kernel_on ? "/kernel" : "/direct"));
-      const PipelineResult engine =
-          RunEngine(*workload_, model, /*pruner_on=*/true, kernel_on);
-      const PipelineResult driver =
-          RunStageDriver(*workload_, model, /*pruner_on=*/true, kernel_on);
-      EXPECT_EQ(engine.pairs, driver.pairs);
-      EXPECT_EQ(engine.disclosures, driver.disclosures);
-      EXPECT_FALSE(engine.pairs.empty());
-    }
+    SCOPED_TRACE(std::string(model->name()));
+    const PipelineResult engine =
+        RunEngine(*workload_, model, /*pruner_on=*/true);
+    const PipelineResult driver =
+        RunStageDriver(*workload_, model, /*pruner_on=*/true);
+    EXPECT_EQ(engine.pairs, driver.pairs);
+    EXPECT_EQ(engine.disclosures, driver.disclosures);
+    EXPECT_FALSE(engine.pairs.empty());
   }
 }
 
@@ -233,9 +218,9 @@ TEST_F(StageEquivalenceTest, PrunedEngineMatchesDriver) {
 TEST_F(StageEquivalenceTest, PruningPreservesAssignments) {
   for (const auto* model : Models()) {
     const PipelineResult unpruned =
-        RunEngine(*workload_, model, /*pruner_on=*/false, /*kernel_on=*/true);
+        RunEngine(*workload_, model, /*pruner_on=*/false);
     const PipelineResult pruned =
-        RunEngine(*workload_, model, /*pruner_on=*/true, /*kernel_on=*/true);
+        RunEngine(*workload_, model, /*pruner_on=*/true);
     // gamma < 1 rectangles can clip true candidates, but at 0.9 on this
     // workload the sets coincide; assert subset + near-equality so the test
     // stays robust to model-tail differences.

@@ -259,8 +259,10 @@ class JsonSeriesWriter {
           << ",\"precision\":" << p.m.precision
           << ",\"recall\":" << p.m.recall
           << ",\"disclosures_per_task\":" << p.m.disclosures_per_task
+          << ",\"setup_seconds\":" << p.m.setup_seconds
           << ",\"u2u_seconds\":" << p.m.u2u_seconds
           << ",\"u2e_seconds\":" << p.m.u2e_seconds
+          << ",\"e2e_seconds\":" << p.m.e2e_seconds
           << ",\"total_seconds\":" << p.m.total_seconds
           << ",\"u2u_scanned\":" << p.m.u2u_scanned
           << ",\"u2u_scanned_first_task\":" << p.m.u2u_scanned_first_task

@@ -87,24 +87,28 @@ void BM_EmpiricalLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_EmpiricalLookup);
 
-std::vector<index::UncertainRegionPruner::WorkerRegion> MakeRegions(int n) {
+/// `n` uniform workers; the pruner's candidate query reads only the
+/// rectangles, so the certain bands keep their never-accept defaults.
+reachability::WorkerFilterSoA MakePrunerWorkers(size_t n) {
   stats::Rng rng(3);
   const geo::BoundingBox region = data::BeijingRegion();
-  std::vector<index::UncertainRegionPruner::WorkerRegion> out;
-  out.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    out.push_back({i,
-                   {rng.UniformDouble(region.min_x, region.max_x),
-                    rng.UniformDouble(region.min_y, region.max_y)},
-                   rng.UniformDouble(1000.0, 3000.0)});
+  reachability::WorkerFilterSoA out;
+  out.Resize(n);
+  out.accept_below_sq.assign(n, -1.0);
+  out.reject_above_sq.assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    out.x[i] = rng.UniformDouble(region.min_x, region.max_x);
+    out.y[i] = rng.UniformDouble(region.min_y, region.max_y);
+    out.reach_radius_m[i] = rng.UniformDouble(1000.0, 3000.0);
   }
   return out;
 }
 
 void BM_PrunerCandidates(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const index::UncertainRegionPruner pruner(MakeRegions(n), kParams, kParams,
-                                            0.9, data::BeijingRegion());
+  const auto n = static_cast<size_t>(state.range(0));
+  const index::UncertainRegionPruner pruner(MakePrunerWorkers(n), kParams,
+                                            kParams, 0.9,
+                                            data::BeijingRegion());
   stats::Rng rng(4);
   const geo::BoundingBox region = data::BeijingRegion();
   for (auto _ : state) {
@@ -117,9 +121,9 @@ BENCHMARK(BM_PrunerCandidates)->Arg(5000)->Arg(100000);
 
 // One worker re-report against a prepared, grid-pruned stage: the service's
 // apply-phase hot path. Before GridIndex::Relocate this dropped the whole
-// pruner + mirror and the follow-up Prepare() rebuilt both — O(workers) per
-// report, which is the pathology this measures; the incremental path keeps
-// Prepare a no-op and relocates in O(cell).
+// pruner and the follow-up Prepare() rebuilt it — O(workers) per report,
+// which is the pathology this measures; the incremental path keeps Prepare
+// a no-op and relocates in O(cell).
 void BM_UpdateWorkerLocation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const reachability::AnalyticalModel model(kParams);
@@ -355,22 +359,22 @@ void BM_U2UFilterThreshold(benchmark::State& state) {
 }
 BENCHMARK(BM_U2UFilterThreshold)->Arg(5000);
 
-// ---- Cell-major mirror kernels (DESIGN.md section 13) ----------------
-// The same certain-band trichotomy over the same workers, as the pruned
-// path's scattered gather (indices into a large SoA, one cache line per
-// worker) vs the mirror path's contiguous range (cell-major rows, packed
+// ---- Cell-row kernels (DESIGN.md section 13) -------------------------
+// The same certain-band trichotomy over the same workers, as a scattered
+// gather (indices into a large SoA, one cache line per worker) vs the
+// pruned path's contiguous range (the grid's cell-major rows, packed
 // column loads). Items/s = worker decisions; the gap is pure memory
 // traffic, since both arms take bit-identical decisions.
 
-struct MirrorFixture {
-  reachability::WorkerFilterSoA soa;     // Large id-major pool.
-  std::vector<uint32_t> indices;         // Sorted ~10% sample of the pool.
-  reachability::CellMajorMirror mirror;  // The sampled workers, contiguous.
+struct RangeFixture {
+  reachability::WorkerFilterSoA soa;  // Large id-major pool.
+  std::vector<uint32_t> indices;      // Sorted ~10% sample of the pool.
+  reachability::CellRows rows;        // The sampled workers, contiguous.
   std::vector<geo::Point> tasks;
 };
 
-MirrorFixture MakeMirrorFixture(size_t pool, size_t sample_every) {
-  MirrorFixture f;
+RangeFixture MakeRangeFixture(size_t pool, size_t sample_every) {
+  RangeFixture f;
   stats::Rng rng(13);
   const geo::BoundingBox region = data::BeijingRegion();
   const double radii[] = {800.0, 1400.0, 2000.0, 2800.0};
@@ -391,15 +395,15 @@ MirrorFixture MakeMirrorFixture(size_t pool, size_t sample_every) {
   for (size_t i = 0; i < pool; i += sample_every) {
     f.indices.push_back(static_cast<uint32_t>(i));
   }
-  f.mirror.Resize(f.indices.size());
+  f.rows.Resize(f.indices.size());
   for (size_t k = 0; k < f.indices.size(); ++k) {
     const uint32_t i = f.indices[k];
-    f.mirror.id[k] = i;
-    f.mirror.x[k] = f.soa.x[i];
-    f.mirror.y[k] = f.soa.y[i];
-    f.mirror.expanded_r[k] = f.soa.reach_radius_m[i];
-    f.mirror.accept_below_sq[k] = f.soa.accept_below_sq[i];
-    f.mirror.reject_above_sq[k] = f.soa.reject_above_sq[i];
+    f.rows.id[k] = i;
+    f.rows.x[k] = f.soa.x[i];
+    f.rows.y[k] = f.soa.y[i];
+    f.rows.expanded_r[k] = f.soa.reach_radius_m[i];
+    f.rows.accept_below_sq[k] = f.soa.accept_below_sq[i];
+    f.rows.reject_above_sq[k] = f.soa.reject_above_sq[i];
   }
   for (int t = 0; t < 64; ++t) {
     f.tasks.push_back({rng.UniformDouble(region.min_x, region.max_x),
@@ -409,8 +413,8 @@ MirrorFixture MakeMirrorFixture(size_t pool, size_t sample_every) {
 }
 
 void BM_ClassifyGather(benchmark::State& state) {
-  const MirrorFixture f =
-      MakeMirrorFixture(static_cast<size_t>(state.range(0)), 10);
+  const RangeFixture f =
+      MakeRangeFixture(static_cast<size_t>(state.range(0)), 10);
   std::vector<uint32_t> accept, band;
   size_t t = 0;
   for (auto _ : state) {
@@ -428,20 +432,20 @@ void BM_ClassifyGather(benchmark::State& state) {
 BENCHMARK(BM_ClassifyGather)->Arg(200000);
 
 void BM_ClassifyRange(benchmark::State& state) {
-  const MirrorFixture f =
-      MakeMirrorFixture(static_cast<size_t>(state.range(0)), 10);
+  const RangeFixture f =
+      MakeRangeFixture(static_cast<size_t>(state.range(0)), 10);
   std::vector<uint32_t> accept, band;
   size_t t = 0;
   for (auto _ : state) {
     const geo::Point task = f.tasks[t++ % f.tasks.size()];
     accept.clear();
     band.clear();
-    reachability::ClassifyCertainBandRange(f.mirror, 0, f.mirror.size(),
+    reachability::ClassifyCertainBandRange(f.rows, 0, f.rows.size(),
                                            task.x, task.y, accept, band);
     benchmark::DoNotOptimize(accept.size() + band.size());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.mirror.size()));
+                          static_cast<int64_t>(f.rows.size()));
 }
 BENCHMARK(BM_ClassifyRange)->Arg(200000);
 

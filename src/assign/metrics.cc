@@ -17,8 +17,10 @@ void RunMetrics::Accumulate(const RunMetrics& other) {
   false_dismissals += other.false_dismissals;
   server_to_requester_msgs += other.server_to_requester_msgs;
   requester_to_worker_msgs += other.requester_to_worker_msgs;
+  setup_seconds += other.setup_seconds;
   u2u_seconds += other.u2u_seconds;
   u2e_seconds += other.u2e_seconds;
+  e2e_seconds += other.e2e_seconds;
   total_seconds += other.total_seconds;
   u2u_scanned += other.u2u_scanned;
   cells_bulk_accepted += other.cells_bulk_accepted;

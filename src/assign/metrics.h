@@ -46,10 +46,17 @@ struct RunMetrics {
   int64_t server_to_requester_msgs = 0;  ///< Candidate sets sent.
   int64_t requester_to_worker_msgs = 0;  ///< Task-location disclosures.
 
+  /// Wall-clock of stage setup: worker registration plus the U2U stage's
+  /// Prepare (threshold prewarm, pruning grid, shard lists). In
+  /// ScGuardEngine::Run that is AddWorkers + Prepare; in the service, the
+  /// registrations plus Start's (or Replay's) Prepare.
+  double setup_seconds = 0.0;
   /// Wall-clock spent in the server-side U2U candidate scan.
   double u2u_seconds = 0.0;
   /// Wall-clock spent in the requester-side U2E ranking (paper Fig. 10e).
   double u2e_seconds = 0.0;
+  /// Wall-clock spent in the E2E contact stage.
+  double e2e_seconds = 0.0;
   /// Wall-clock of the whole run.
   double total_seconds = 0.0;
 
@@ -65,20 +72,20 @@ struct RunMetrics {
   /// the run's queries (DESIGN.md §11): cells whose whole id array was
   /// bulk-appended, non-empty cells skipped without touching entries, and
   /// workers that fell through to the per-member rectangle test. All zero
-  /// without pruning or for non-grid backends; together they explain *why*
-  /// pruning won or lost, not just that it did.
+  /// without pruning; together they explain *why* pruning won or lost, not
+  /// just that it did.
   int64_t cells_bulk_accepted = 0;
   int64_t cells_skipped = 0;
   int64_t boundary_workers = 0;
 
   /// Modeled scoring-side memory traffic of the U2U scan, bytes summed over
-  /// the run (DESIGN.md §13 / EXPERIMENTS.md): scattered cache lines for
-  /// gathered workers, packed streams for brute and mirror scans, id runs
-  /// only for certificate-direct cells. A traffic model — comparable across
+  /// the run (DESIGN.md §13 / EXPERIMENTS.md): packed streams for brute
+  /// scans and for the grid's row slices, id runs only for
+  /// certificate-direct cells. A traffic model — comparable across
   /// configurations, not a hardware counter.
   int64_t u2u_gather_bytes = 0;
-  /// Cells the mirror path resolved purely by a whole-cell alpha
-  /// certificate, with zero per-worker loads (zero off the mirror path).
+  /// Cells the pruned scan resolved purely by a whole-cell alpha
+  /// certificate, with zero per-worker loads (zero without pruning).
   int64_t cells_emitted_direct = 0;
 
   double MeanTravelM() const {

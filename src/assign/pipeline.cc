@@ -38,8 +38,8 @@ std::vector<double> CountBounds() {
 /// The pipeline's metric set (DESIGN.md §7), resolved once per process.
 /// Counts accumulate in RunMetrics and pipeline locals and reach the
 /// counters only through TaskPipeline::Flush, so the per-worker hot loop
-/// never touches an atomic; stage histograms additionally cost two clock
-/// reads per task per stage, gated on obs::Enabled().
+/// never touches an atomic; stage histograms reuse the two clock reads per
+/// task per stage that RunMetrics takes anyway.
 struct PipelineObs {
   /// In TaskPipeline::CounterValues order.
   std::array<obs::Counter*, TaskPipeline::kNumCounters> counters;
@@ -128,6 +128,7 @@ TaskPipeline::TaskPipeline(const EnginePolicy& policy,
 }
 
 void TaskPipeline::AddWorkers(stats::Rng& rank_rng) {
+  const auto start = Clock::now();
   const size_t n = workers_.size();
   SCGUARD_CHECK(n <= std::numeric_limits<uint32_t>::max());
   // An exact reserve pays for a batch registration (no growth overshoot at
@@ -142,14 +143,17 @@ void TaskPipeline::AddWorkers(stats::Rng& rank_rng) {
     random_rank_.push_back(rank_rng.UniformDouble());
     u2u_.AddWorker(workers_[i].noisy_location, workers_[i].reach_radius_m);
   }
+  result_.metrics.setup_seconds += Seconds(start, Clock::now());
 }
 
 void TaskPipeline::Prepare() {
+  const auto start = Clock::now();
   u2u_.Prepare();
   // Reused between tasks: allocating per task shows up on pruned runs,
   // where the real work per task is small.
   ranked_.reserve(u2u_.size());
   result_.metrics.num_workers = static_cast<int64_t>(u2u_.size());
+  result_.metrics.setup_seconds += Seconds(start, Clock::now());
 }
 
 void TaskPipeline::ScoreAccuracy(const std::vector<uint32_t>& candidates,
@@ -231,8 +235,7 @@ TaskOutcome TaskPipeline::RunTask(int64_t task_id, geo::Point exact,
   }
 
   // ---- Stage 3: E2E (workers), interleaved with U2E re-ranking ------
-  Clock::time_point e2e_start;
-  if (obs_on || rec_on) e2e_start = Clock::now();
+  const auto e2e_start = Clock::now();
   const E2eContactStage::Outcome contact = e2e_.Run(
       ranked_,
       [&](size_t i) {
@@ -258,9 +261,11 @@ TaskOutcome TaskPipeline::RunTask(int64_t task_id, geo::Point exact,
                    : obs::AuditFilter::kDirectEval;
       });
   if (contact.cancelled) ++beta_cancels_;
-  if (obs_on || rec_on) {
+  {
     const auto e2e_end = Clock::now();
-    if (obs_on) po.e2e_seconds->Observe(Seconds(e2e_start, e2e_end));
+    const double elapsed = Seconds(e2e_start, e2e_end);
+    m.e2e_seconds += elapsed;
+    if (obs_on) po.e2e_seconds->Observe(elapsed);
     if (rec_on) obs::EmitSpanAt(po.e2e_span, ToNs(e2e_start), ToNs(e2e_end));
   }
   return outcome;

@@ -56,10 +56,12 @@ class TaskPipeline {
   /// Registers every worker of the borrowed array not yet registered, in
   /// index order, drawing one random-rank priority per worker from
   /// `rank_rng` (Alg. 1 Line 12) — the only draws the pipeline makes.
+  /// Timed into RunMetrics::setup_seconds.
   void AddWorkers(stats::Rng& rank_rng);
 
-  /// Finishes stage setup (threshold prewarm, pruning grid, mirror, shard
-  /// lists) so the first task's U2U time measures only the scan.
+  /// Finishes stage setup (threshold prewarm, pruning grid, shard lists) so
+  /// the first task's U2U time measures only the scan. Timed into
+  /// RunMetrics::setup_seconds.
   void Prepare();
 
   /// Runs one task through U2U -> (accuracy scan) -> U2E -> E2E, appending

@@ -35,12 +35,8 @@ uint32_t U2uCandidateStage::AddWorker(geo::Point noisy_location,
   soa_.reach_radius_m.push_back(reach_radius_m);
   soa_.matched.push_back(0);
   // A registration after Prepare invalidates a built pruning index; it is
-  // rebuilt over the full worker set at the next Collect. The mirror must
-  // let go of the dying grid first.
-  if (config_.pruning.has_value()) {
-    mirror_.ForgetGrid();
-    pruner_.reset();
-  }
+  // rebuilt over the full worker set at the next Collect.
+  pruner_.reset();
   return static_cast<uint32_t>(i);
 }
 
@@ -50,12 +46,10 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
   soa_.y[worker] = noisy_location.y;
   // The certain-band bounds depend only on the (unchanged) reach radius,
   // so the threshold prewarm stays valid. A built pruning index relocates
-  // the entry in place (O(cell) with the mirror kept in sync through the
-  // slice listener — the mutation the service loop amortizes, DESIGN.md
-  // §14); an unbuilt one is built from the SoA at the next Prepare.
-  if (pruner_ != nullptr) {
-    pruner_->Relocate(static_cast<int64_t>(worker), noisy_location);
-  }
+  // the row in place (O(cell) — the mutation the service loop amortizes,
+  // DESIGN.md §14); an unbuilt one is built from the SoA at the next
+  // Prepare.
+  if (pruner_ != nullptr) pruner_->Relocate(worker, noisy_location);
 }
 
 void U2uCandidateStage::MarkAvailable(uint32_t worker) {
@@ -64,9 +58,7 @@ void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   // Undo MarkMatched's active-set maintenance: re-insert into the pruning
   // index, or splice the id back into its shard's ascending active list.
   if (pruner_ != nullptr) {
-    pruner_->Restore(static_cast<int64_t>(worker),
-                     {soa_.x[worker], soa_.y[worker]},
-                     soa_.reach_radius_m[worker]);
+    pruner_->Restore(worker, soa_);
   } else if (prepared_ && !config_.pruning.has_value()) {
     std::vector<uint32_t>& active =
         shard_active_[worker / static_cast<size_t>(config_.runtime.shard_size)];
@@ -100,7 +92,6 @@ void U2uCandidateStage::ResetAvailability() {
   std::fill(soa_.matched.begin(), soa_.matched.end(), uint8_t{0});
   if (config_.pruning.has_value()) {
     // Matched workers were removed from the index; rebuild it fresh.
-    mirror_.ForgetGrid();
     pruner_.reset();
   } else if (prepared_) {
     RebuildShards();
@@ -125,28 +116,12 @@ void U2uCandidateStage::Prepare() {
   }
 
   if (config_.pruning.has_value()) {
+    // Built straight from the SoA after the prewarm above: the grid's rows
+    // carry each worker's certain bands, and matched workers stay out.
     if (pruner_ == nullptr) {
       const Pruning& p = *config_.pruning;
-      std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
-      regions.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        regions.push_back({static_cast<int64_t>(i),
-                           {soa_.x[i], soa_.y[i]},
-                           soa_.reach_radius_m[i]});
-      }
       pruner_ = std::make_unique<index::UncertainRegionPruner>(
-          regions, p.worker_params, p.task_params, p.gamma, p.region);
-      // Re-apply removals for workers matched before the (re)build.
-      for (size_t i = 0; i < n; ++i) {
-        if (soa_.matched[i]) pruner_->Remove(static_cast<int64_t>(i));
-      }
-    }
-    // The mirror attaches after the threshold prewarm above (it copies the
-    // per-worker certain bands) and after the grid is final for this
-    // Prepare. A pruner rebuilt since the last attach has a fresh grid, so
-    // re-attach whenever the association is gone (ForgetGrid cleared it).
-    if (mirror_.grid() != pruner_->grid()) {
-      mirror_.Attach(pruner_->grid(), &soa_);
+          soa_, p.worker_params, p.task_params, p.gamma, p.region);
     }
   } else if (warm_ == 0) {
     RebuildShards();
@@ -210,7 +185,7 @@ void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
              sc.band.end(), sc.out.begin());
 }
 
-void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
+void U2uCandidateStage::ScanPrunedChunk(geo::Point task_noisy,
                                         const geo::BoundingBox& query,
                                         size_t begin, size_t end,
                                         ShardScratch& sc) const {
@@ -219,7 +194,8 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
   sc.scanned = 0;
   sc.gather_bytes = 0;
   sc.cells_direct = 0;
-  const reachability::CellMajorMirror& m = mirror_.rows();
+  const index::GridIndex& grid = pruner_->grid();
+  const reachability::CellRows& m = grid.rows();
   for (size_t v = begin; v < end; ++v) {
     const index::GridIndex::CellVisit& visit = visits_[v];
     if (v + 1 < end) {
@@ -234,15 +210,15 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
       // Every member is rectangle-admitted; the cell-level alpha
       // certificate can settle the whole slice without touching a row.
       sc.scanned += static_cast<int64_t>(visit.count);
-      const CellScoreMirror::CellAlpha alpha =
-          mirror_.Certify(visit.slot, task_noisy.x, task_noisy.y);
-      if (alpha == CellScoreMirror::CellAlpha::kAllAccept) {
+      const index::GridIndex::CellAlpha alpha =
+          grid.Certify(visit.slot, task_noisy.x, task_noisy.y);
+      if (alpha == index::GridIndex::CellAlpha::kAllAccept) {
         const auto from =
             m.id.begin() + static_cast<std::ptrdiff_t>(visit.begin);
         sc.accept.insert(sc.accept.end(), from, from + visit.count);
         sc.gather_bytes += static_cast<int64_t>(visit.count) * 4;
         ++sc.cells_direct;
-      } else if (alpha == CellScoreMirror::CellAlpha::kAllReject) {
+      } else if (alpha == index::GridIndex::CellAlpha::kAllReject) {
         ++sc.cells_direct;
       } else {
         reachability::ClassifyCertainBandRange(m, visit.begin, visit.count,
@@ -267,42 +243,41 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
   sc.accept.insert(sc.accept.end(), sc.band.begin(), sc.band.end());
 }
 
-void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
+void U2uCandidateStage::CollectPruned(geo::Point task_noisy_location) {
   const size_t n = soa_.size();
   const EngineRuntime& rt = config_.runtime;
   const geo::BoundingBox query = pruner_->TaskQueryBox(task_noisy_location);
-  index::GridIndex* grid = pruner_->grid();
-  grid->VisitQueryCells(query, visits_);
+  pruner_->grid().VisitQueryCells(query, visits_);
 
   // Cut the visit list into chunks of >= shard_size members. Boundaries
   // depend only on the walk and shard_size — never the pool — so per-chunk
   // outputs and counters are reproducible; at most one chunk more than the
   // brute scan's shard count exists, hence the resize.
   const auto shard_size = static_cast<size_t>(rt.shard_size);
-  mirror_chunks_.clear();
+  pruned_chunks_.clear();
   size_t chunk_begin = 0;
   size_t acc = 0;
   for (size_t v = 0; v < visits_.size(); ++v) {
     acc += visits_[v].count;
     if (acc >= shard_size) {
-      mirror_chunks_.push_back({chunk_begin, v + 1});
+      pruned_chunks_.push_back({chunk_begin, v + 1});
       chunk_begin = v + 1;
       acc = 0;
     }
   }
   if (chunk_begin < visits_.size()) {
-    mirror_chunks_.push_back({chunk_begin, visits_.size()});
+    pruned_chunks_.push_back({chunk_begin, visits_.size()});
   }
-  if (shards_.size() < mirror_chunks_.size()) {
-    shards_.resize(mirror_chunks_.size());
+  if (shards_.size() < pruned_chunks_.size()) {
+    shards_.resize(pruned_chunks_.size());
   }
 
   const Status scan_status = runtime::ParallelFor(
-      rt.pool, 0, static_cast<int64_t>(mirror_chunks_.size()), /*grain=*/1,
+      rt.pool, 0, static_cast<int64_t>(pruned_chunks_.size()), /*grain=*/1,
       [&](int64_t lo, int64_t hi) -> Status {
         for (int64_t j = lo; j < hi; ++j) {
-          const MirrorChunk& chunk = mirror_chunks_[static_cast<size_t>(j)];
-          ScanMirrorChunk(task_noisy_location, query, chunk.begin, chunk.end,
+          const PrunedChunk& chunk = pruned_chunks_[static_cast<size_t>(j)];
+          ScanPrunedChunk(task_noisy_location, query, chunk.begin, chunk.end,
                           shards_[static_cast<size_t>(j)]);
         }
         return Status::OK();
@@ -313,12 +288,12 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
   // in word order: an order-independent set union, so the ascending result
   // equals the unpruned scan's ascending concatenation no matter how cells
   // were chunked.
-  mirror_bits_.assign((n + 63) / 64, 0);
+  accept_bits_.assign((n + 63) / 64, 0);
   size_t hits = 0;
-  for (size_t j = 0; j < mirror_chunks_.size(); ++j) {
+  for (size_t j = 0; j < pruned_chunks_.size(); ++j) {
     const ShardScratch& sc = shards_[j];
     for (const uint32_t i : sc.accept) {
-      mirror_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+      accept_bits_[i >> 6] |= uint64_t{1} << (i & 63);
     }
     hits += sc.accept.size();
     stats_.scanned_last += sc.scanned;
@@ -327,8 +302,8 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
   }
   stats_.pruned_last = static_cast<int64_t>(n) - stats_.scanned_last;
   candidates_.reserve(hits);
-  for (size_t w = 0; w < mirror_bits_.size(); ++w) {
-    uint64_t bits = mirror_bits_[w];
+  for (size_t w = 0; w < accept_bits_.size(); ++w) {
+    uint64_t bits = accept_bits_[w];
     while (bits != 0) {
       const int b = std::countr_zero(bits);
       candidates_.push_back(
@@ -379,7 +354,7 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
   stats_.scanned_last = 0;
   stats_.pruned_last = 0;
   if (pruner_ != nullptr) {
-    CollectMirror(task_noisy_location);
+    CollectPruned(task_noisy_location);
   } else {
     CollectShards(task_noisy_location);
   }
@@ -404,7 +379,7 @@ void U2uCandidateStage::MarkMatched(uint32_t worker) {
   // pruned runs drop the worker from the index so queries stop returning
   // it.
   if (pruner_ != nullptr) {
-    pruner_->Remove(static_cast<int64_t>(worker));
+    pruner_->Remove(worker);
   } else if (prepared_) {
     shard_dirty_[worker / static_cast<size_t>(config_.runtime.shard_size)] = 1;
   }

@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "assign/stages/cell_mirror.h"
 #include "geo/bbox.h"
 #include "geo/point.h"
 #include "index/pruning.h"
@@ -34,7 +33,7 @@ struct EngineRuntime {
   /// fan-out), so nested parallelism never deadlocks.
   runtime::ThreadPool* pool = nullptr;
 
-  /// Workers per scan shard (and the minimum member count of one mirror
+  /// Workers per scan shard (and the minimum member count of one pruned
   /// chunk). Fixed-size shards — never derived from the thread count — so
   /// per-shard candidate vectors concatenate to the same ascending id order
   /// on any pool. Smaller shards balance better once the active set drains
@@ -49,14 +48,13 @@ struct EngineRuntime {
 /// Pr(reachable | d') >= alpha. One object owns everything the scan needs —
 /// the WorkerFilterSoA snapshot, the inverted AlphaThresholdCache with its
 /// per-worker certain bands, the optional uncertainty-rectangle grid pruner
-/// with its cell-major scoring mirror, and the sharded active-set scan
-/// state — so every pipeline (TaskPipeline, core::TaskingServer,
+/// whose cell-major rows it scores, and the sharded active-set scan state — so every pipeline (TaskPipeline, core::TaskingServer,
 /// sim/dynamic, BatchMatcher) shares one filter implementation and its
 /// decisions stay bit-identical across call sites.
 ///
 /// There are exactly two scan paths: without pruning, a sharded scan over
 /// per-shard active lists; with pruning, a certified cell walk over the
-/// mirror. Both decide `ProbReachable(kU2U, d, r) >= alpha` through the
+/// grid's rows. Both decide `ProbReachable(kU2U, d, r) >= alpha` through the
 /// inverted certain bands plus one direct evaluation inside the band.
 ///
 /// Not thread-safe; Collect itself fans shards over the configured pool.
@@ -100,7 +98,7 @@ class U2uCandidateStage {
     int64_t pruned_last = 0;   ///< Workers the index skipped last Collect.
     /// Modeled scoring-side memory traffic, cumulative over the stage's
     /// life (a traffic model, not a hardware counter — see EXPERIMENTS.md):
-    /// brute sequential scans cost the packed 32 B per worker, mirror range
+    /// brute sequential scans cost the packed 32 B per worker, pruned range
     /// scans cost the contiguous rows actually streamed (36 B bulk / 44 B
     /// boundary), and certificate-direct cells cost only their emitted id
     /// run (4 B per id, 0 for whole-cell rejects).
@@ -167,7 +165,7 @@ class U2uCandidateStage {
   /// pruner's life (nullptr without pruning). Orchestrators feed these into
   /// RunMetrics / obs counters.
   const index::GridIndex::QueryStats* grid_query_stats() const {
-    return pruner_ != nullptr ? &pruner_->grid_query_stats() : nullptr;
+    return pruner_ != nullptr ? &pruner_->grid().stats() : nullptr;
   }
   /// Direct in-band model evaluations, cumulative over the stage's life
   /// (summed across shard scratches; call once per run, not per task).
@@ -189,7 +187,7 @@ class U2uCandidateStage {
     int64_t scanned = 0;           ///< Workers scored for the current task.
     int64_t band_evals = 0;        ///< Direct model evals, run cumulative.
     int64_t compactions = 0;       ///< Active-set rebuilds, run cumulative.
-    int64_t gather_bytes = 0;      ///< Mirror-chunk traffic, current task.
+    int64_t gather_bytes = 0;      ///< Pruned-chunk traffic, current task.
     int64_t cells_direct = 0;      ///< Certificate-direct cells, this task.
   };
 
@@ -209,14 +207,15 @@ class U2uCandidateStage {
   void CollectShards(geo::Point task_noisy);
 
   /// The pruned Collect: certified cell walk, chunked range classification
-  /// over contiguous mirror slices, bitmap union back to ascending order.
-  void CollectMirror(geo::Point task_noisy);
+  /// over the grid's contiguous row slices, bitmap union back to ascending
+  /// order.
+  void CollectPruned(geo::Point task_noisy);
 
   /// Classifies the visits [begin, end) of the current walk against the
   /// task, leaving this chunk's accepted worker ids (unordered across
   /// cells) in sc.accept and its admitted/traffic accounting in sc. Safe to
   /// run concurrently on distinct scratches.
-  void ScanMirrorChunk(geo::Point task_noisy, const geo::BoundingBox& query,
+  void ScanPrunedChunk(geo::Point task_noisy, const geo::BoundingBox& query,
                        size_t begin, size_t end, ShardScratch& sc) const;
 
   void RebuildShards();
@@ -225,10 +224,6 @@ class U2uCandidateStage {
   reachability::WorkerFilterSoA soa_;
   reachability::AlphaThresholdCache thresholds_;
   std::unique_ptr<index::UncertainRegionPruner> pruner_;
-  /// Cell-major scoring mirror over the grid backend's member layout.
-  /// Declared after pruner_ and detached (ForgetGrid) at every
-  /// pruner_.reset() site, so it never holds a dangling grid pointer.
-  CellScoreMirror mirror_;
   /// Workers [0, warm_) have prewarmed thresholds and shard slots.
   size_t warm_ = 0;
   /// Set once Prepare ran; a later AddWorker/UpdateWorkerLocation drops a
@@ -243,12 +238,12 @@ class U2uCandidateStage {
   std::vector<uint8_t> shard_dirty_;
   std::vector<ShardScratch> shards_;
 
-  /// One mirror chunk: the visit range [begin, end) of the current walk.
+  /// One pruned chunk: the visit range [begin, end) of the current walk.
   /// Chunks are cut by cumulative member count against shard_size alone —
   /// pool-independent, like the brute scan's shard boundaries — so chunk
   /// contents (and with them every per-chunk counter) are identical on any
   /// pool.
-  struct MirrorChunk {
+  struct PrunedChunk {
     size_t begin;
     size_t end;
   };
@@ -256,8 +251,8 @@ class U2uCandidateStage {
   // Reused per-Collect scratch.
   std::vector<uint32_t> candidates_;
   std::vector<index::GridIndex::CellVisit> visits_;
-  std::vector<MirrorChunk> mirror_chunks_;
-  std::vector<uint64_t> mirror_bits_;  ///< Accept bitmap, one bit per worker.
+  std::vector<PrunedChunk> pruned_chunks_;
+  std::vector<uint64_t> accept_bits_;  ///< Accept bitmap, one bit per worker.
   Stats stats_;
 };
 

@@ -9,7 +9,7 @@
 namespace scguard::index {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Headroom a rebuild leaves in a cell's slice: grows with the cell so
 /// repeated inserts into one cell trigger O(log) rebuilds.
@@ -17,16 +17,31 @@ uint32_t SliceCapacityFor(uint32_t count) {
   return count + std::max<uint32_t>(4, count / 2);
 }
 
-}  // namespace
-
-void GridIndex::Agg::Reset() {
-  cover_min_x = cover_min_y = kInf;
-  cover_max_x = cover_max_y = -kInf;
-  core_max_lo_x = core_max_lo_y = -kInf;
-  core_min_hi_x = core_min_hi_y = kInf;
+/// Iterator at row `i` of one column.
+template <typename Column>
+auto At(Column& col, size_t i) {
+  return col.begin() + static_cast<std::ptrdiff_t>(i);
 }
 
-void GridIndex::Agg::Accumulate(double cx, double cy, double cr) {
+/// Applies `f` to each column of the given row stores in turn (the same
+/// column of every store per call), so each mutation moves all six columns
+/// in one place.
+template <typename F, typename... Rows>
+void ForEachColumn(F&& f, Rows&... rows) {
+  f(rows.id...);
+  f(rows.x...);
+  f(rows.y...);
+  f(rows.expanded_r...);
+  f(rows.accept_below_sq...);
+  f(rows.reject_above_sq...);
+}
+
+}  // namespace
+
+void GridIndex::Accumulate(size_t slot, size_t pos) {
+  const double cx = rows_.x[pos];
+  const double cy = rows_.y[pos];
+  const double cr = rows_.expanded_r[pos];
   // Exactly the member rectangle bounds FromCircle computes; aggregating
   // with min/max keeps every comparison downstream bit-compatible with the
   // per-member test.
@@ -34,23 +49,41 @@ void GridIndex::Agg::Accumulate(double cx, double cy, double cr) {
   const double hi_x = cx + cr;
   const double lo_y = cy - cr;
   const double hi_y = cy + cr;
-  cover_min_x = std::min(cover_min_x, lo_x);
-  cover_max_x = std::max(cover_max_x, hi_x);
-  cover_min_y = std::min(cover_min_y, lo_y);
-  cover_max_y = std::max(cover_max_y, hi_y);
-  core_max_lo_x = std::max(core_max_lo_x, lo_x);
-  core_min_hi_x = std::min(core_min_hi_x, hi_x);
-  core_max_lo_y = std::max(core_max_lo_y, lo_y);
-  core_min_hi_y = std::min(core_min_hi_y, hi_y);
+  Agg& a = aggs_[slot];
+  a.cover_min_x = std::min(a.cover_min_x, lo_x);
+  a.cover_max_x = std::max(a.cover_max_x, hi_x);
+  a.cover_min_y = std::min(a.cover_min_y, lo_y);
+  a.cover_max_y = std::max(a.cover_max_y, hi_y);
+  a.core_max_lo_x = std::max(a.core_max_lo_x, lo_x);
+  a.core_min_hi_x = std::min(a.core_min_hi_x, hi_x);
+  a.core_max_lo_y = std::max(a.core_max_lo_y, lo_y);
+  a.core_min_hi_y = std::min(a.core_min_hi_y, hi_y);
+  AlphaAgg& b = alpha_[slot];
+  b.min_x = std::min(b.min_x, cx);
+  b.max_x = std::max(b.max_x, cx);
+  b.min_y = std::min(b.min_y, cy);
+  b.max_y = std::max(b.max_y, cy);
+  b.min_accept_sq = std::min(b.min_accept_sq, rows_.accept_below_sq[pos]);
+  b.max_reject_sq = std::max(b.max_reject_sq, rows_.reject_above_sq[pos]);
+  if (!std::isfinite(cx) || !std::isfinite(cy)) {
+    // std::min/max silently drop a NaN in their second argument, so the
+    // boxes above can miss this member. Poison instead: no comparison
+    // passes a NaN, so the cell never bulk-accepts or alpha-certifies and
+    // its members go through the per-member tests, which reject a
+    // non-finite row exactly as the unpruned scan does. A NaN in the
+    // *first* argument is kept, so the poison lasts until the next
+    // recompute.
+    a.core_max_lo_x = kNaN;
+    b.min_accept_sq = kNaN;
+    b.max_reject_sq = kNaN;
+  }
 }
 
 void GridIndex::RecomputeAggregates(size_t slot) {
+  aggs_[slot] = kEmptyAgg;
+  alpha_[slot] = kEmptyAlpha;
   const CellRef& c = cells_ref_[slot];
-  Agg& agg = aggs_[slot];
-  agg.Reset();
-  for (size_t k = c.begin; k < c.begin + c.count; ++k) {
-    agg.Accumulate(xs_[k], ys_[k], rs_[k]);
-  }
+  for (size_t k = c.begin; k < c.begin + c.count; ++k) Accumulate(slot, k);
 }
 
 GridIndex::GridIndex(const geo::BoundingBox& region, int cells_per_axis)
@@ -60,9 +93,45 @@ GridIndex::GridIndex(const geo::BoundingBox& region, int cells_per_axis)
       cell_h_(region.Height() / cells_per_axis),
       cells_ref_(static_cast<size_t>(cells_per_axis) *
                  static_cast<size_t>(cells_per_axis)),
-      aggs_(cells_ref_.size()) {
+      aggs_(cells_ref_.size(), kEmptyAgg),
+      alpha_(cells_ref_.size(), kEmptyAlpha) {
   SCGUARD_CHECK(!region.empty() && cells_per_axis >= 1);
   SCGUARD_CHECK(cell_w_ > 0.0 && cell_h_ > 0.0);
+  SCGUARD_CHECK(cells_ref_.size() < kAbsent);
+}
+
+GridIndex::GridIndex(const geo::BoundingBox& region, int cells_per_axis,
+                     const reachability::WorkerFilterSoA& workers,
+                     double radius_pad_m)
+    : GridIndex(region, cells_per_axis) {
+  const size_t n = workers.size();
+  SCGUARD_CHECK(n < kAbsent && workers.accept_below_sq.size() == n &&
+                workers.reject_above_sq.size() == n);
+  // Counting pass: each worker's cell, then slices sized for their counts.
+  cell_of_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t slot = CellSlotFor({workers.x[i], workers.y[i]});
+    cell_of_[i] = static_cast<uint32_t>(slot);
+    ++cells_ref_[slot].count;
+  }
+  size_t at = 0;
+  for (CellRef& c : cells_ref_) {
+    c.begin = at;
+    c.cap = SliceCapacityFor(c.count);
+    c.count = 0;
+    at += c.cap;
+  }
+  rows_.Resize(at);
+  // Ascending ids append to their slices, so every slice comes out sorted.
+  for (size_t i = 0; i < n; ++i) {
+    const size_t slot = cell_of_[i];
+    CellRef& c = cells_ref_[slot];
+    const double r = workers.reach_radius_m[i] + radius_pad_m;
+    SCGUARD_CHECK(r >= 0.0 && std::isfinite(r));
+    PlaceRow(slot, c.begin + c.count++, {workers.x[i], workers.y[i]}, r,
+             static_cast<uint32_t>(i), workers.accept_below_sq[i],
+             workers.reject_above_sq[i]);
+  }
 }
 
 int GridIndex::CellCoord(double cells_from_origin) const {
@@ -88,71 +157,78 @@ size_t GridIndex::CellSlotFor(geo::Point p) const {
 
 void GridIndex::Rebuild() {
   // New layout: row-major cell order with fresh per-cell headroom. One
-  // streaming pass moves every live slice; the old arrays are replaced
-  // wholesale, so any pointer into the member arrays is invalidated (none
-  // outlives a call into the index).
+  // streaming pass moves every live slice; the old store is replaced
+  // wholesale, so any pointer into the rows is invalidated (none outlives
+  // a call into the index).
   size_t total = 0;
   for (const CellRef& c : cells_ref_) {
     total += SliceCapacityFor(c.count);
   }
-  std::vector<int64_t> new_ids(total);
-  std::vector<double> new_xs(total), new_ys(total), new_rs(total);
+  reachability::CellRows fresh;
+  fresh.Resize(total);
   size_t at = 0;
   for (CellRef& c : cells_ref_) {
-    const auto src = static_cast<std::ptrdiff_t>(c.begin);
-    const auto dst = static_cast<std::ptrdiff_t>(at);
-    std::copy_n(ids_.begin() + src, c.count, new_ids.begin() + dst);
-    std::copy_n(xs_.begin() + src, c.count, new_xs.begin() + dst);
-    std::copy_n(ys_.begin() + src, c.count, new_ys.begin() + dst);
-    std::copy_n(rs_.begin() + src, c.count, new_rs.begin() + dst);
+    ForEachColumn(
+        [&](auto& dst, const auto& src) {
+          std::copy_n(At(src, c.begin), c.count, At(dst, at));
+        },
+        fresh, rows_);
     c.begin = at;
     c.cap = SliceCapacityFor(c.count);
     at += c.cap;
   }
-  ids_.swap(new_ids);
-  xs_.swap(new_xs);
-  ys_.swap(new_ys);
-  rs_.swap(new_rs);
-  if (listener_ != nullptr) listener_->OnRebuild();
+  rows_ = std::move(fresh);
+}
+
+size_t GridIndex::RowOf(uint32_t id) const {
+  const CellRef& c = cells_ref_[cell_of_[id]];
+  const auto begin = At(rows_.id, c.begin);
+  const auto end = At(rows_.id, c.begin + c.count);
+  const auto pos = std::lower_bound(begin, end, id);
+  SCGUARD_CHECK(pos != end && *pos == id);
+  return static_cast<size_t>(pos - rows_.id.begin());
 }
 
 void GridIndex::Insert(geo::Point center, double expanded_radius_m,
-                       int64_t id) {
+                       uint32_t id, double accept_below_sq,
+                       double reject_above_sq) {
   SCGUARD_CHECK(expanded_radius_m >= 0.0 &&
                 std::isfinite(expanded_radius_m));
+  SCGUARD_CHECK(!Contains(id));
   const size_t slot = CellSlotFor(center);
   if (cells_ref_[slot].count == cells_ref_[slot].cap) Rebuild();
   CellRef& c = cells_ref_[slot];
   // Ascending insert; callers registering ids in order hit the append path.
   const size_t end = c.begin + c.count;
   size_t pos = end;
-  if (c.count > 0 && id < ids_[end - 1]) {
+  if (c.count > 0 && id < rows_.id[end - 1]) {
     pos = static_cast<size_t>(
-        std::lower_bound(ids_.begin() + static_cast<std::ptrdiff_t>(c.begin),
-                         ids_.begin() + static_cast<std::ptrdiff_t>(end), id) -
-        ids_.begin());
-    const auto from = static_cast<std::ptrdiff_t>(pos);
-    const auto to = static_cast<std::ptrdiff_t>(end);
-    std::move_backward(ids_.begin() + from, ids_.begin() + to,
-                       ids_.begin() + to + 1);
-    std::move_backward(xs_.begin() + from, xs_.begin() + to,
-                       xs_.begin() + to + 1);
-    std::move_backward(ys_.begin() + from, ys_.begin() + to,
-                       ys_.begin() + to + 1);
-    std::move_backward(rs_.begin() + from, rs_.begin() + to,
-                       rs_.begin() + to + 1);
+        std::lower_bound(At(rows_.id, c.begin), At(rows_.id, end), id) -
+        rows_.id.begin());
+    ForEachColumn(
+        [&](auto& col) {
+          std::move_backward(At(col, pos), At(col, end), At(col, end + 1));
+        },
+        rows_);
   }
-  ids_[pos] = id;
-  xs_[pos] = center.x;
-  ys_[pos] = center.y;
-  rs_[pos] = expanded_radius_m;
   ++c.count;
-  aggs_[slot].Accumulate(center.x, center.y, expanded_radius_m);
-  if (listener_ != nullptr) {
-    listener_->OnSliceInsert(slot, pos, c.begin + c.count);
-  }
-  cells_of_id_[id].push_back(static_cast<uint32_t>(slot));
-  max_radius_ = std::max(max_radius_, expanded_radius_m);
+  if (id >= cell_of_.size()) cell_of_.resize(size_t{id} + 1, kAbsent);
+  PlaceRow(slot, pos, center, expanded_radius_m, id, accept_below_sq,
+           reject_above_sq);
+}
+
+void GridIndex::PlaceRow(size_t slot, size_t pos, geo::Point center,
+                         double r, uint32_t id, double accept_below_sq,
+                         double reject_above_sq) {
+  rows_.id[pos] = id;
+  rows_.x[pos] = center.x;
+  rows_.y[pos] = center.y;
+  rows_.expanded_r[pos] = r;
+  rows_.accept_below_sq[pos] = accept_below_sq;
+  rows_.reject_above_sq[pos] = reject_above_sq;
+  Accumulate(slot, pos);
+  cell_of_[id] = static_cast<uint32_t>(slot);
+  max_radius_ = std::max(max_radius_, r);
   ++live_;
 }
 
@@ -197,10 +273,9 @@ GridIndex::CellRange GridIndex::QueryRange(
 
 size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
                                   std::vector<CellVisit>& out) const {
-  // Each surviving cell is reported as its flat member-array slice so a
-  // cell-major mirror can do the scoring-side work over contiguous rows.
-  // The agg array is the only memory the walk touches: 64 contiguous bytes
-  // per cell.
+  // Each surviving cell is reported as its row slice, so the scoring side
+  // works over contiguous rows. The agg array is the only memory the walk
+  // touches: 64 contiguous bytes per cell.
   out.clear();
   if (live_ == 0 || query.empty()) return 0;
   const CellRange range = QueryRange(query);
@@ -218,7 +293,6 @@ size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
       if (cert == CellCert::kBulkAccepted) {
         ++stats_.cells_bulk_accepted;
       } else {
-        ++stats_.cells_boundary;
         stats_.boundary_workers += static_cast<int64_t>(c.count);
       }
       out.push_back(CellVisit{c.begin, c.count, static_cast<uint32_t>(slot),
@@ -229,107 +303,95 @@ size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
   return total;
 }
 
-std::vector<int64_t> GridIndex::QueryIds(const geo::BoundingBox& query) const {
+std::vector<uint32_t> GridIndex::QueryIds(
+    const geo::BoundingBox& query) const {
   std::vector<CellVisit> visits;
   VisitQueryCells(query, visits);
-  std::vector<int64_t> out;
+  std::vector<uint32_t> out;
+  const reachability::CellRows& r = rows_;
   for (const CellVisit& v : visits) {
     for (size_t k = v.begin; k < v.begin + v.count; ++k) {
       // Bit-identical to FromCircle(center, r).Intersects(query).
+      const double er = r.expanded_r[k];
       const bool hit = v.cert == CellCert::kBulkAccepted ||
-                       ((xs_[k] - rs_[k] <= query.max_x) &
-                        (query.min_x <= xs_[k] + rs_[k]) &
-                        (ys_[k] - rs_[k] <= query.max_y) &
-                        (query.min_y <= ys_[k] + rs_[k]));
-      if (hit) out.push_back(ids_[k]);
+                       ((r.x[k] - er <= query.max_x) &
+                        (query.min_x <= r.x[k] + er) &
+                        (r.y[k] - er <= query.max_y) &
+                        (query.min_y <= r.y[k] + er));
+      if (hit) out.push_back(r.id[k]);
     }
   }
+  // Cells are visited in row-major order, not id order.
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
-size_t GridIndex::Remove(int64_t id) {
-  const auto it = cells_of_id_.find(id);
-  if (it == cells_of_id_.end()) return 0;
-  size_t count = 0;
-  for (const uint32_t slot : it->second) {
-    CellRef& c = cells_ref_[slot];
-    // One recorded slot per inserted entry; erase one occurrence each.
-    const auto begin = ids_.begin() + static_cast<std::ptrdiff_t>(c.begin);
-    const auto end = begin + static_cast<std::ptrdiff_t>(c.count);
-    const auto pos = std::lower_bound(begin, end, id);
-    SCGUARD_CHECK(pos != end && *pos == id);
-    // Ordered in-slice erase: shift the tail down one; the freed slot
-    // becomes headroom for a later re-insert into this cell.
-    const auto k = pos - ids_.begin();
-    const auto slice_end = static_cast<std::ptrdiff_t>(c.begin + c.count);
-    std::move(ids_.begin() + k + 1, ids_.begin() + slice_end,
-              ids_.begin() + k);
-    std::move(xs_.begin() + k + 1, xs_.begin() + slice_end, xs_.begin() + k);
-    std::move(ys_.begin() + k + 1, ys_.begin() + slice_end, ys_.begin() + k);
-    std::move(rs_.begin() + k + 1, rs_.begin() + slice_end, rs_.begin() + k);
-    --c.count;
-    RecomputeAggregates(slot);
-    if (listener_ != nullptr) {
-      listener_->OnSliceErase(slot, static_cast<size_t>(k),
-                              c.begin + c.count);
-    }
-    ++count;
-  }
-  cells_of_id_.erase(it);
-  live_ -= count;
-  return count;
+bool GridIndex::Remove(uint32_t id) {
+  if (!Contains(id)) return false;
+  const size_t slot = cell_of_[id];
+  const size_t k = RowOf(id);
+  CellRef& c = cells_ref_[slot];
+  // Ordered in-slice erase: shift the tail down one; the freed row becomes
+  // headroom for a later insert into this cell.
+  const size_t end = c.begin + c.count;
+  ForEachColumn(
+      [&](auto& col) { std::move(At(col, k + 1), At(col, end), At(col, k)); },
+      rows_);
+  --c.count;
+  RecomputeAggregates(slot);
+  cell_of_[id] = kAbsent;
+  --live_;
+  return true;
 }
 
-size_t GridIndex::Relocate(int64_t id, geo::Point new_center) {
-  const auto it = cells_of_id_.find(id);
-  if (it == cells_of_id_.end()) return 0;
-  const size_t new_slot = CellSlotFor(new_center);
-  if (it->second.size() == 1 && it->second[0] == new_slot) {
+bool GridIndex::Relocate(uint32_t id, geo::Point new_center) {
+  if (!Contains(id)) return false;
+  const size_t slot = cell_of_[id];
+  const size_t k = RowOf(id);
+  if (CellSlotFor(new_center) == slot) {
     // Same-cell move: the slice stays ascending (id unchanged), so only
-    // the coordinates and the cell's certification aggregates change.
-    CellRef& c = cells_ref_[new_slot];
-    const auto begin = ids_.begin() + static_cast<std::ptrdiff_t>(c.begin);
-    const auto end = begin + static_cast<std::ptrdiff_t>(c.count);
-    const auto pos = std::lower_bound(begin, end, id);
-    SCGUARD_CHECK(pos != end && *pos == id);
-    const auto k = static_cast<size_t>(pos - ids_.begin());
-    xs_[k] = new_center.x;
-    ys_[k] = new_center.y;
-    RecomputeAggregates(new_slot);
-    if (listener_ != nullptr) {
-      listener_->OnSliceUpdate(new_slot, k, c.begin + c.count);
-    }
-    return 1;
+    // the coordinates and the cell's aggregates change.
+    rows_.x[k] = new_center.x;
+    rows_.y[k] = new_center.y;
+    RecomputeAggregates(slot);
+    return true;
   }
-  // Cross-cell (or multi-entry) move: collect each entry's radius, then
-  // erase and re-insert through the ordinary mutation paths so listeners
-  // see the usual erase/insert (or rebuild) sequence.
-  radius_scratch_.clear();
-  for (const uint32_t slot : it->second) {
-    const CellRef& c = cells_ref_[slot];
-    const auto begin = ids_.begin() + static_cast<std::ptrdiff_t>(c.begin);
-    const auto end = begin + static_cast<std::ptrdiff_t>(c.count);
-    const auto pos = std::lower_bound(begin, end, id);
-    SCGUARD_CHECK(pos != end && *pos == id);
-    radius_scratch_.push_back(rs_[static_cast<size_t>(pos - ids_.begin())]);
-  }
-  const size_t moved = Remove(id);
-  for (const double r : radius_scratch_) Insert(new_center, r, id);
-  return moved;
+  const double r = rows_.expanded_r[k];
+  const double accept_sq = rows_.accept_below_sq[k];
+  const double reject_sq = rows_.reject_above_sq[k];
+  Remove(id);
+  Insert(new_center, r, id, accept_sq, reject_sq);
+  return true;
+}
+
+GridIndex::CellAlpha GridIndex::Certify(size_t slot, double task_x,
+                                        double task_y) const {
+  const AlphaAgg& a = alpha_[slot];
+  if (a.max_x < a.min_x) return CellAlpha::kMixed;  // Empty cell.
+  // Every member's kernel dx = fl(x - task_x) lies between fl(min_x -
+  // task_x) and fl(max_x - task_x) (rounded subtraction is monotone in x),
+  // so |dx| is bracketed by the endpoint magnitudes; squaring and the final
+  // add are monotone under rounding too, so d_sq_max / d_sq_min bracket
+  // every member's d_sq bit-exactly — certification never disagrees with
+  // the per-member trichotomy it replaces.
+  const double dx_lo = a.min_x - task_x;
+  const double dx_hi = a.max_x - task_x;
+  const double dy_lo = a.min_y - task_y;
+  const double dy_hi = a.max_y - task_y;
+  const double dxm = std::max(std::fabs(dx_lo), std::fabs(dx_hi));
+  const double dym = std::max(std::fabs(dy_lo), std::fabs(dy_hi));
+  const double d_sq_max = dxm * dxm + dym * dym;
+  if (d_sq_max <= a.min_accept_sq) return CellAlpha::kAllAccept;
+  const double dxn = dx_lo > 0.0 ? dx_lo : (dx_hi < 0.0 ? -dx_hi : 0.0);
+  const double dyn = dy_lo > 0.0 ? dy_lo : (dy_hi < 0.0 ? -dy_hi : 0.0);
+  const double d_sq_min = dxn * dxn + dyn * dyn;
+  if (d_sq_min >= a.max_reject_sq) return CellAlpha::kAllReject;
+  return CellAlpha::kMixed;
 }
 
 GridIndex::CellCert GridIndex::ClassifyCellForTest(
     int cx, int cy, const geo::BoundingBox& query) const {
   return Classify(aggs_[CellSlot(cx, cy)], query);
-}
-
-std::vector<int64_t> GridIndex::CellMembersForTest(int cx, int cy) const {
-  const CellRef& c = cells_ref_[CellSlot(cx, cy)];
-  return std::vector<int64_t>(
-      ids_.begin() + static_cast<std::ptrdiff_t>(c.begin),
-      ids_.begin() + static_cast<std::ptrdiff_t>(c.begin + c.count));
 }
 
 }  // namespace scguard::index

@@ -22,20 +22,21 @@ double MechanismConfidenceRadius(const privacy::PrivacyParams& params,
 }  // namespace
 
 UncertainRegionPruner::UncertainRegionPruner(
-    const std::vector<WorkerRegion>& workers,
+    const reachability::WorkerFilterSoA& workers,
     const privacy::PrivacyParams& worker_params,
     const privacy::PrivacyParams& task_params, double gamma,
     const geo::BoundingBox& region)
     : r_r_worker_(MechanismConfidenceRadius(worker_params, gamma, region)),
       r_r_task_(MechanismConfidenceRadius(task_params, gamma, region)) {
   SCGUARD_CHECK(gamma > 0.0 && gamma < 1.0);
+  const size_t n = workers.size();
 
   // The expanded worker rectangles can stick out beyond the deployment
   // region; grow the grid region accordingly so border cells stay balanced.
   geo::BoundingBox grid_region = region;
   double max_extent = r_r_worker_;
-  for (const auto& w : workers) {
-    max_extent = std::max(max_extent, r_r_worker_ + w.reach_radius_m);
+  for (const double r : workers.reach_radius_m) {
+    max_extent = std::max(max_extent, r_r_worker_ + r);
   }
   grid_region.Extend(geo::Point{region.min_x - max_extent, region.min_y - max_extent});
   grid_region.Extend(geo::Point{region.max_x + max_extent, region.max_y + max_extent});
@@ -45,35 +46,30 @@ UncertainRegionPruner::UncertainRegionPruner(
   // tests stay short at a million workers without flooding small workloads
   // with empty cells.
   const int cells_per_axis = std::clamp(
-      static_cast<int>(std::ceil(
-          std::sqrt(static_cast<double>(workers.size()) / 64.0))),
+      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n) / 64.0))),
       16, 512);
-  grid_ = std::make_unique<GridIndex>(grid_region, cells_per_axis);
-  for (const auto& w : workers) {
-    grid_->Insert(w.noisy_location, r_r_worker_ + w.reach_radius_m,
-                  w.worker_id);
+  // Matched workers are stored and then removed, so the grid's radius
+  // high-water mark (and with it every query's visited cell range) does not
+  // depend on when the index was built.
+  grid_ = std::make_unique<GridIndex>(grid_region, cells_per_axis, workers,
+                                      r_r_worker_);
+  for (size_t i = 0; i < n; ++i) {
+    if (workers.matched[i]) grid_->Remove(static_cast<uint32_t>(i));
   }
 }
 
-std::vector<int64_t> UncertainRegionPruner::Candidates(
+std::vector<uint32_t> UncertainRegionPruner::Candidates(
     geo::Point task_noisy_location) const {
   return grid_->QueryIds(TaskQueryBox(task_noisy_location));
 }
 
-void UncertainRegionPruner::Remove(int64_t worker_id) {
-  grid_->Remove(worker_id);
-}
-
-void UncertainRegionPruner::Relocate(int64_t worker_id,
-                                     geo::Point new_noisy_location) {
-  grid_->Relocate(worker_id, new_noisy_location);
-}
-
-void UncertainRegionPruner::Restore(int64_t worker_id,
-                                    geo::Point noisy_location,
-                                    double reach_radius_m) {
-  if (!grid_->Contains(worker_id)) {
-    grid_->Insert(noisy_location, r_r_worker_ + reach_radius_m, worker_id);
+void UncertainRegionPruner::Restore(
+    uint32_t worker, const reachability::WorkerFilterSoA& workers) {
+  if (!grid_->Contains(worker)) {
+    grid_->Insert({workers.x[worker], workers.y[worker]},
+                  r_r_worker_ + workers.reach_radius_m[worker], worker,
+                  workers.accept_below_sq[worker],
+                  workers.reject_above_sq[worker]);
   }
 }
 

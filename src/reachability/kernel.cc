@@ -320,14 +320,14 @@ void ClassifyCertainBandScalar(const WorkerFilterSoA& soa,
   band.resize(num_band);
 }
 
-void ClassifyCertainBandRangeScalar(const CellMajorMirror& m, size_t begin,
+void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
                                     size_t count, double task_x,
                                     double task_y,
                                     std::vector<uint32_t>& accept,
                                     std::vector<uint32_t>& band) {
   // Append semantics: resize ahead by the worst case, shrink to the
   // survivors. Same branch-free trichotomy as ClassifyCertainBandScalar,
-  // but every column load is a contiguous stream through the mirror rows.
+  // but every column load is a contiguous stream through the cell rows.
   const size_t accept_base = accept.size();
   const size_t band_base = band.size();
   accept.resize(accept_base + count);
@@ -357,7 +357,7 @@ void ClassifyCertainBandRangeScalar(const CellMajorMirror& m, size_t begin,
 }
 
 size_t ClassifyCertainBandRangeRectScalar(
-    const CellMajorMirror& m, size_t begin, size_t count, double task_x,
+    const CellRows& m, size_t begin, size_t count, double task_x,
     double task_y, double q_min_x, double q_min_y, double q_max_x,
     double q_max_y, std::vector<uint32_t>& accept,
     std::vector<uint32_t>& band) {
@@ -402,10 +402,10 @@ namespace {
 using ClassifyFn = void (*)(const WorkerFilterSoA&, const uint32_t*, size_t,
                             double, double, std::vector<uint32_t>&,
                             std::vector<uint32_t>&);
-using ClassifyRangeFn = void (*)(const CellMajorMirror&, size_t, size_t,
+using ClassifyRangeFn = void (*)(const CellRows&, size_t, size_t,
                                  double, double, std::vector<uint32_t>&,
                                  std::vector<uint32_t>&);
-using ClassifyRangeRectFn = size_t (*)(const CellMajorMirror&, size_t, size_t,
+using ClassifyRangeRectFn = size_t (*)(const CellRows&, size_t, size_t,
                                        double, double, double, double, double,
                                        double, std::vector<uint32_t>&,
                                        std::vector<uint32_t>&);
@@ -480,14 +480,14 @@ void ClassifyCertainBand(const WorkerFilterSoA& soa, const uint32_t* indices,
   LoadOrResolve()(soa, indices, count, task_x, task_y, accept, band);
 }
 
-void ClassifyCertainBandRange(const CellMajorMirror& m, size_t begin,
+void ClassifyCertainBandRange(const CellRows& m, size_t begin,
                               size_t count, double task_x, double task_y,
                               std::vector<uint32_t>& accept,
                               std::vector<uint32_t>& band) {
   LoadOrResolveRange()(m, begin, count, task_x, task_y, accept, band);
 }
 
-size_t ClassifyCertainBandRangeRect(const CellMajorMirror& m, size_t begin,
+size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
                                     size_t count, double task_x,
                                     double task_y, double q_min_x,
                                     double q_min_y, double q_max_x,

@@ -236,16 +236,15 @@ void ClassifyCertainBandAvx2(const WorkerFilterSoA& soa,
                              std::vector<uint32_t>& band);
 #endif  // SCGUARD_HAVE_AVX2
 
-/// Cell-major mirror of the scoring-side worker state (DESIGN.md §13): the
-/// same per-worker columns the U2U filter reads, but laid out in a
-/// GridIndex's CSR cell order (including the per-slice headroom rows), so a
-/// cell's members are one contiguous run instead of a scattered gather
-/// through `indices`. `id` maps each row back to the engine worker index;
-/// `expanded_r` is the pruner's expanded rectangle radius, carried so
-/// boundary cells can fuse the rectangle admission test with the band
-/// classification. Rows outside the owning index's live slices are headroom
-/// with unspecified contents. Owned and synced by assign::CellScoreMirror.
-struct CellMajorMirror {
+/// The pruning grid's member rows (DESIGN.md §13): the per-worker columns
+/// the U2U filter reads, laid out in an index::GridIndex's CSR cell order
+/// (including the per-slice headroom rows), so a cell's members are one
+/// contiguous run instead of a scattered gather through `indices`. `id` is
+/// the engine worker index; `expanded_r` is the pruner's expanded rectangle
+/// radius, so boundary cells can fuse the rectangle admission test with the
+/// band classification. Rows outside the grid's live slices are headroom
+/// with unspecified contents. Owned and mutated only by the grid.
+struct CellRows {
   std::vector<uint32_t> id;
   std::vector<double> x;
   std::vector<double> y;
@@ -264,15 +263,15 @@ struct CellMajorMirror {
   size_t size() const { return id.size(); }
 };
 
-/// ClassifyCertainBand over the contiguous mirror rows [begin, begin+count)
+/// ClassifyCertainBand over the contiguous rows [begin, begin+count)
 /// instead of a gathered index list: same trichotomy, same rounding (no
 /// FMA), but every load is sequential. **Appends** the surviving rows' `id`
 /// values to `accept` / `band` (existing contents are preserved — the
-/// mirror path accumulates several cells into one output), in row order,
+/// pruned scan accumulates several cells into one output), in row order,
 /// which for a live index slice is ascending id order. Dispatches through
 /// the same CPUID mechanism as ClassifyCertainBand; bit-identical decisions
 /// to running the scalar gather loop over the same workers.
-void ClassifyCertainBandRange(const CellMajorMirror& m, size_t begin,
+void ClassifyCertainBandRange(const CellRows& m, size_t begin,
                               size_t count, double task_x, double task_y,
                               std::vector<uint32_t>& accept,
                               std::vector<uint32_t>& band);
@@ -286,7 +285,7 @@ void ClassifyCertainBandRange(const CellMajorMirror& m, size_t begin,
 /// number of rows the rectangle admitted (the cell's contribution to the
 /// stage's "scanned" count). The query box is passed as four doubles to
 /// keep the kernel layer free of geo types.
-size_t ClassifyCertainBandRangeRect(const CellMajorMirror& m, size_t begin,
+size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
                                     size_t count, double task_x,
                                     double task_y, double q_min_x,
                                     double q_min_y, double q_max_x,
@@ -297,13 +296,13 @@ size_t ClassifyCertainBandRangeRect(const CellMajorMirror& m, size_t begin,
 /// Portable reference implementations (bit-identity anchors; same
 /// unconditional-write/predicated-increment discipline as
 /// ClassifyCertainBandScalar).
-void ClassifyCertainBandRangeScalar(const CellMajorMirror& m, size_t begin,
+void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
                                     size_t count, double task_x,
                                     double task_y,
                                     std::vector<uint32_t>& accept,
                                     std::vector<uint32_t>& band);
 size_t ClassifyCertainBandRangeRectScalar(
-    const CellMajorMirror& m, size_t begin, size_t count, double task_x,
+    const CellRows& m, size_t begin, size_t count, double task_x,
     double task_y, double q_min_x, double q_min_y, double q_max_x,
     double q_max_y, std::vector<uint32_t>& accept, std::vector<uint32_t>& band);
 
@@ -312,12 +311,12 @@ size_t ClassifyCertainBandRangeRectScalar(
 /// column loads replace the index gathers, ids left-pack through the same
 /// shuffle LUT as ClassifyCertainBandAvx2. Bit-identical outputs to the
 /// scalar range loops; only callable on AVX2 CPUs.
-void ClassifyCertainBandRangeAvx2(const CellMajorMirror& m, size_t begin,
+void ClassifyCertainBandRangeAvx2(const CellRows& m, size_t begin,
                                   size_t count, double task_x, double task_y,
                                   std::vector<uint32_t>& accept,
                                   std::vector<uint32_t>& band);
 size_t ClassifyCertainBandRangeRectAvx2(
-    const CellMajorMirror& m, size_t begin, size_t count, double task_x,
+    const CellRows& m, size_t begin, size_t count, double task_x,
     double task_y, double q_min_x, double q_min_y, double q_max_x,
     double q_max_y, std::vector<uint32_t>& accept, std::vector<uint32_t>& band);
 #endif  // SCGUARD_HAVE_AVX2

@@ -138,12 +138,12 @@ void ClassifyCertainBandAvx2(const WorkerFilterSoA& soa,
   band.resize(num_band);
 }
 
-void ClassifyCertainBandRangeAvx2(const CellMajorMirror& m, size_t begin,
+void ClassifyCertainBandRangeAvx2(const CellRows& m, size_t begin,
                                   size_t count, double task_x, double task_y,
                                   std::vector<uint32_t>& accept,
                                   std::vector<uint32_t>& band) {
   // The range twin of ClassifyCertainBandAvx2: the four vpgatherdpd turn
-  // into contiguous loadu_pd streams over the mirror columns, and the id
+  // into contiguous loadu_pd streams over the cell-row columns, and the id
   // vector is loaded (not synthesized from an index list). Same compares,
   // same left-pack, same no-FMA rounding, append semantics.
   const size_t accept_base = accept.size();
@@ -204,7 +204,7 @@ void ClassifyCertainBandRangeAvx2(const CellMajorMirror& m, size_t begin,
 }
 
 size_t ClassifyCertainBandRangeRectAvx2(
-    const CellMajorMirror& m, size_t begin, size_t count, double task_x,
+    const CellRows& m, size_t begin, size_t count, double task_x,
     double task_y, double q_min_x, double q_min_y, double q_max_x,
     double q_max_y, std::vector<uint32_t>& accept,
     std::vector<uint32_t>& band) {

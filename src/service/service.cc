@@ -99,8 +99,8 @@ uint32_t AssignmentService::RegisterWorker(const assign::Worker& w) {
 void AssignmentService::Start() {
   SCGUARD_CHECK(!started_ && !stopped_);
   started_ = true;
-  // Threshold prewarm, pruning-index build, mirror attach: done here so
-  // the consumer's first scan measures only the scan.
+  // Threshold prewarm and pruning-grid build: done here so the consumer's
+  // first scan measures only the scan (RunMetrics::setup_seconds).
   pipeline_.Prepare();
   consumer_ = std::thread([this] { ConsumerLoop(); });
 }

@@ -87,7 +87,7 @@ struct ServiceConfig : assign::EnginePolicy {
 /// producer threads push worker re-reports and task submissions into a
 /// lock-free bounded ring (MpscQueue); a single consumer thread alternates
 /// an apply phase (drain up to max_batch events, mutate the U2U stage's
-/// index/mirror state through the incremental Relocate/MarkAvailable
+/// pruning-grid rows through the incremental Relocate/MarkAvailable
 /// paths, publish a new epoch) with a scan phase (run each drained task
 /// through the same assign::TaskPipeline as ScGuardEngine::Run, pinned to
 /// the just-published epoch). The pipeline's `scguard.engine.*` counters
@@ -125,7 +125,7 @@ class AssignmentService {
   /// worker's random ranking priority. Must precede Start.
   uint32_t RegisterWorker(const assign::Worker& w);
 
-  /// Builds the stage state (threshold prewarm, pruning index, mirror) and
+  /// Builds the stage state (threshold prewarm, pruning grid) and
   /// launches the consumer thread.
   void Start();
 

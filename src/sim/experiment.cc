@@ -26,8 +26,10 @@ AggregatedMetrics Aggregate(const std::vector<assign::RunMetrics>& runs) {
     agg.precision += m.MeanPrecision();
     agg.recall += m.MeanRecall();
     agg.disclosures_per_task += m.DisclosuresPerAssignedTask();
+    agg.setup_seconds += m.setup_seconds;
     agg.u2u_seconds += m.u2u_seconds;
     agg.u2e_seconds += m.u2e_seconds;
+    agg.e2e_seconds += m.e2e_seconds;
     agg.total_seconds += m.total_seconds;
     agg.u2u_scanned += static_cast<double>(m.u2u_scanned);
     agg.u2u_scanned_first_task += static_cast<double>(m.u2u_scanned_first_task);
@@ -46,8 +48,10 @@ AggregatedMetrics Aggregate(const std::vector<assign::RunMetrics>& runs) {
   agg.precision /= n;
   agg.recall /= n;
   agg.disclosures_per_task /= n;
+  agg.setup_seconds /= n;
   agg.u2u_seconds /= n;
   agg.u2e_seconds /= n;
+  agg.e2e_seconds /= n;
   agg.total_seconds /= n;
   agg.u2u_scanned /= n;
   agg.u2u_scanned_first_task /= n;

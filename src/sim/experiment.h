@@ -38,8 +38,10 @@ struct AggregatedMetrics {
   double precision = 0;
   double recall = 0;
   double disclosures_per_task = 0;
+  double setup_seconds = 0;      ///< Stage setup wall-clock per run.
   double u2u_seconds = 0;        ///< Total U2U scan wall-clock per run.
   double u2e_seconds = 0;        ///< Total U2E wall-clock per run.
+  double e2e_seconds = 0;        ///< Total E2E wall-clock per run.
   double total_seconds = 0;
   /// U2U scan-work decay under active-set compaction (DESIGN.md §9):
   /// workers scored in total / by the first task / by the last task, each

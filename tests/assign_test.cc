@@ -356,6 +356,24 @@ TEST(EngineTest, PruningPreservesResultsAtHighGamma) {
   }
 }
 
+// The run's wall clock splits into stage setup and the three per-task
+// stages, each timed over its own interval inside the run.
+TEST(EngineTest, StageTimesAreMeasuredAndFitTheTotal) {
+  const Workload w = NoisyUniformWorkload(100, 22);
+  AlgorithmParams params;
+  params.worker_params = kDefault;
+  params.task_params = kDefault;
+  params.pruning_gamma = 0.9;
+  MatcherHandle pruned = MakeProbabilisticModel(params);
+  stats::Rng rng(23);
+  const RunMetrics m = pruned.Run(w, rng).metrics;
+  ASSERT_GT(m.assigned_tasks, 0);  // E2E ran.
+  EXPECT_GT(m.setup_seconds, 0.0);
+  EXPECT_GT(m.e2e_seconds, 0.0);
+  EXPECT_LE(m.setup_seconds + m.u2u_seconds + m.u2e_seconds + m.e2e_seconds,
+            m.total_seconds);
+}
+
 TEST(EngineTest, EmptyWorkloads) {
   AlgorithmParams params;
   params.worker_params = kDefault;

@@ -161,17 +161,17 @@ TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
   EXPECT_EQ(grid.QueryIds(everywhere).size(), 2u);
 
   // Remove drops the entry from every query it previously matched.
-  EXPECT_EQ(grid.Remove(1), 1u);
+  EXPECT_TRUE(grid.Remove(1));
   EXPECT_EQ(grid.size(), 1u);
   {
     const auto ids = grid.QueryIds(everywhere);
     ASSERT_EQ(ids.size(), 1u);
-    EXPECT_EQ(ids[0], 2);
+    EXPECT_EQ(ids[0], 2u);
   }
 
   // Idempotent: a second removal is a no-op.
-  EXPECT_EQ(grid.Remove(1), 0u);
-  EXPECT_EQ(grid.Remove(777), 0u);  // Unknown id too.
+  EXPECT_FALSE(grid.Remove(1));
+  EXPECT_FALSE(grid.Remove(777));  // Unknown id too.
   EXPECT_EQ(grid.size(), 1u);
 
   // Re-add under the same id: live again, with the new rectangle only.
@@ -181,7 +181,7 @@ TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
     const auto ids = grid.QueryIds(
         geo::BoundingBox::FromCorners({790, 790}, {950, 950}));
     ASSERT_EQ(ids.size(), 1u);
-    EXPECT_EQ(ids[0], 1);
+    EXPECT_EQ(ids[0], 1u);
   }
   // The old rectangle of id 1 stays dead.
   {
@@ -191,44 +191,35 @@ TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
   }
 }
 
-TEST(GridIndexRemoveTest, RemovesEveryEntryOfAnId) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
-  index::GridIndex grid(region, 8);
-  grid.Insert({50, 50}, 50.0, 5);
-  grid.Insert({550, 550}, 50.0, 5);
-  ASSERT_EQ(grid.size(), 2u);
-  EXPECT_EQ(grid.Remove(5), 2u);
-  EXPECT_EQ(grid.size(), 0u);
-  EXPECT_TRUE(grid.QueryIds(region).empty());
-}
-
 // The grid is the only backend; it must drop removed workers natively.
 TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
-  std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
-  for (int i = 0; i < 20; ++i) {
-    regions.push_back({i, geo::Point{100.0 * i, 100.0 * i}, 500.0});
+  reachability::WorkerFilterSoA workers;
+  workers.Resize(20);
+  workers.accept_below_sq.assign(20, -1.0);
+  workers.reject_above_sq.assign(20, 0.0);
+  for (size_t i = 0; i < 20; ++i) {
+    workers.x[i] = workers.y[i] = 100.0 * static_cast<double>(i);
+    workers.reach_radius_m[i] = 500.0;
   }
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {2000, 2000});
 
-  index::UncertainRegionPruner pruner(regions, kDefault, kDefault,
+  index::UncertainRegionPruner pruner(workers, kDefault, kDefault,
                                       /*gamma=*/0.9, region);
   const geo::Point probe{500.0, 500.0};
-  std::vector<int64_t> before = pruner.Candidates(probe);
+  std::vector<uint32_t> before = pruner.Candidates(probe);
   ASSERT_FALSE(before.empty());
-  const int64_t victim = before.front();
+  const uint32_t victim = before.front();
 
   pruner.Remove(victim);
   pruner.Remove(victim);  // Idempotent.
-  std::vector<int64_t> after = pruner.Candidates(probe);
+  std::vector<uint32_t> after = pruner.Candidates(probe);
   EXPECT_EQ(after.size(), before.size() - 1);
-  for (const int64_t id : after) EXPECT_NE(id, victim);
+  for (const uint32_t id : after) EXPECT_NE(id, victim);
   EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
 
   // Restore brings it back, in order.
-  pruner.Restore(victim, regions[static_cast<size_t>(victim)].noisy_location,
-                 regions[static_cast<size_t>(victim)].reach_radius_m);
+  pruner.Restore(victim, workers);
   EXPECT_EQ(pruner.Candidates(probe), before);
 }
 

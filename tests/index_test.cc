@@ -7,6 +7,7 @@
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
+#include "reachability/kernel.h"
 #include "stats/rng.h"
 
 namespace scguard::index {
@@ -22,11 +23,11 @@ geo::BoundingBox RandomBox(stats::Rng& rng, double extent, double max_size) {
 struct PointEntry {
   geo::Point center;
   double radius = 0.0;
-  int64_t id = 0;
+  uint32_t id = 0;
 };
 
 PointEntry RandomPointEntry(stats::Rng& rng, double extent, double max_radius,
-                            int64_t id) {
+                            uint32_t id) {
   return {{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)},
           rng.UniformDouble(1.0, max_radius),
           id};
@@ -38,9 +39,9 @@ bool EntryHits(const PointEntry& e, const geo::BoundingBox& query) {
   return geo::BoundingBox::FromCircle(e.center, e.radius).Intersects(query);
 }
 
-std::vector<int64_t> BruteForcePoints(const std::vector<PointEntry>& entries,
-                                      const geo::BoundingBox& query) {
-  std::vector<int64_t> out;
+std::vector<uint32_t> BruteForcePoints(const std::vector<PointEntry>& entries,
+                                       const geo::BoundingBox& query) {
+  std::vector<uint32_t> out;
   for (const auto& e : entries) {
     if (EntryHits(e, query)) out.push_back(e.id);
   }
@@ -53,7 +54,7 @@ TEST(GridIndexTest, MatchesBruteForceAndEmitsAscending) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
   GridIndex grid(region, 16);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 500; ++i) {
+  for (uint32_t i = 0; i < 500; ++i) {
     entries.push_back(RandomPointEntry(rng, 1000.0, 50.0, i));
     grid.Insert(entries.back().center, entries.back().radius, i);
   }
@@ -61,7 +62,8 @@ TEST(GridIndexTest, MatchesBruteForceAndEmitsAscending) {
   for (int q = 0; q < 50; ++q) {
     const geo::BoundingBox query = RandomBox(rng, 1000.0, 120.0);
     const auto got = grid.QueryIds(query);
-    // Ascending without any caller-side sort: the k-way merge contract.
+    // QueryIds' contract: ascending ids without any caller-side sort, even
+    // though cells are walked in row-major order.
     EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
     EXPECT_EQ(got, BruteForcePoints(entries, query)) << "query " << q;
   }
@@ -80,21 +82,21 @@ TEST(GridIndexTest, NonFiniteAndHugeCoordinatesClampWithoutUb) {
   GridIndex grid(region, 8);
   stats::Rng rng(13);
   std::vector<PointEntry> finite;
-  for (int64_t i = 0; i < 100; ++i) {
+  for (uint32_t i = 0; i < 100; ++i) {
     finite.push_back(RandomPointEntry(rng, 1000.0, 60.0, i));
     grid.Insert(finite.back().center, finite.back().radius, i);
   }
   // Hostile points insert (into clamped cells) and relocate without UB.
-  int64_t id = 100;
+  uint32_t id = 100;
   for (const double v : hostile) {
     grid.Insert({v, 500.0}, 10.0, id++);
     grid.Insert({500.0, v}, 10.0, id++);
     grid.Insert({v, v}, 10.0, id++);
   }
   EXPECT_EQ(grid.size(), 115u);
-  EXPECT_EQ(grid.Relocate(0, {kNan, -kInf}), 1u);
-  EXPECT_EQ(grid.Relocate(0, finite[0].center), 1u);
-  for (int64_t h = 100; h < id; ++h) EXPECT_EQ(grid.Remove(h), 1u);
+  EXPECT_TRUE(grid.Relocate(0, {kNan, -kInf}));
+  EXPECT_TRUE(grid.Relocate(0, finite[0].center));
+  for (uint32_t h = 100; h < id; ++h) EXPECT_TRUE(grid.Remove(h));
 
   // Hostile query boxes: none may crash, and with only finite entries left
   // every answer equals the per-entry rectangle test.
@@ -122,7 +124,7 @@ TEST(GridIndexTest, OutOfOrderInsertionStaysAscending) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
   GridIndex grid(region, 8);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 300; ++i) {
+  for (uint32_t i = 0; i < 300; ++i) {
     entries.push_back(RandomPointEntry(rng, 1000.0, 40.0, i));
   }
   // Insert in shuffled id order; cells must re-establish ascending ids.
@@ -165,29 +167,34 @@ TEST(GridIndexTest, CellCertificationAgreesWithMemberTests) {
                                                                 {extent, extent});
   GridIndex grid(region, 8);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 400; ++i) {
+  for (uint32_t i = 0; i < 400; ++i) {
     entries.push_back(RandomPointEntry(rng, extent, 80.0, i));
     grid.Insert(entries.back().center, entries.back().radius, i);
   }
-  auto entry_by_id = [&](int64_t id) -> const PointEntry& {
-    return entries[static_cast<size_t>(id)];
+  auto entry_by_id = [&](uint32_t id) -> const PointEntry& {
+    return entries[id];
   };
   for (int q = 0; q < 40; ++q) {
     const geo::BoundingBox query = RandomBox(rng, extent, 200.0);
     for (int cy = 0; cy < grid.cells_per_axis(); ++cy) {
       for (int cx = 0; cx < grid.cells_per_axis(); ++cx) {
-        const auto members = grid.CellMembersForTest(cx, cy);
+        const GridIndex::CellView cell = grid.CellForTest(
+            static_cast<size_t>(cy * grid.cells_per_axis() + cx));
+        const std::vector<uint32_t> members(
+            grid.rows().id.begin() + static_cast<std::ptrdiff_t>(cell.begin),
+            grid.rows().id.begin() +
+                static_cast<std::ptrdiff_t>(cell.begin + cell.count));
         if (members.empty()) continue;
         switch (grid.ClassifyCellForTest(cx, cy, query)) {
           case GridIndex::CellCert::kBulkAccepted:
-            for (const int64_t id : members) {
+            for (const uint32_t id : members) {
               EXPECT_TRUE(EntryHits(entry_by_id(id), query))
                   << "bulk-accepted cell (" << cx << "," << cy
                   << ") holds a non-matching member " << id;
             }
             break;
           case GridIndex::CellCert::kSkipped:
-            for (const int64_t id : members) {
+            for (const uint32_t id : members) {
               EXPECT_FALSE(EntryHits(entry_by_id(id), query))
                   << "skipped cell (" << cx << "," << cy
                   << ") holds a matching member " << id;
@@ -220,7 +227,7 @@ TEST(GridIndexTest, RemoveCompactsAndReAddChurn) {
   GridIndex grid(region, 6);
   std::vector<PointEntry> live;
   std::vector<PointEntry> pool;
-  for (int64_t i = 0; i < 200; ++i) {
+  for (uint32_t i = 0; i < 200; ++i) {
     pool.push_back(RandomPointEntry(rng, extent, 60.0, i));
   }
   for (const auto& e : pool) {
@@ -233,9 +240,9 @@ TEST(GridIndexTest, RemoveCompactsAndReAddChurn) {
     if (op == 0) {
       // Remove a random live id.
       const auto k = static_cast<size_t>(rng.UniformInt(live.size()));
-      const int64_t id = live[k].id;
-      EXPECT_EQ(grid.Remove(id), 1u);
-      EXPECT_EQ(grid.Remove(id), 0u);  // Idempotent.
+      const uint32_t id = live[k].id;
+      EXPECT_TRUE(grid.Remove(id));
+      EXPECT_FALSE(grid.Remove(id));  // Idempotent.
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
     } else if (op == 1) {
       // Re-add an absent pool entry (possibly at a fresh location).
@@ -268,11 +275,11 @@ TEST(GridIndexTest, RelocateMatchesRemoveInsertChurn) {
       geo::BoundingBox::FromCorners({0, 0}, {extent, extent});
   GridIndex grid(region, 6);
   std::vector<PointEntry> live;
-  for (int64_t i = 0; i < 150; ++i) {
+  for (uint32_t i = 0; i < 150; ++i) {
     live.push_back(RandomPointEntry(rng, extent, 60.0, i));
     grid.Insert(live.back().center, live.back().radius, live.back().id);
   }
-  EXPECT_EQ(grid.Relocate(999, {10, 10}), 0u);  // Unknown id: no-op.
+  EXPECT_FALSE(grid.Relocate(999, {10, 10}));  // Unknown id: no-op.
   for (int step = 0; step < 400; ++step) {
     const auto k = static_cast<size_t>(rng.UniformInt(live.size()));
     geo::Point next;
@@ -283,7 +290,7 @@ TEST(GridIndexTest, RelocateMatchesRemoveInsertChurn) {
     } else {
       next = {rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     }
-    EXPECT_EQ(grid.Relocate(live[k].id, next), 1u);
+    EXPECT_TRUE(grid.Relocate(live[k].id, next));
     live[k].center = next;
     EXPECT_TRUE(grid.Contains(live[k].id));
     if (step % 7 == 0) {
@@ -294,96 +301,50 @@ TEST(GridIndexTest, RelocateMatchesRemoveInsertChurn) {
     }
   }
   // Relocate after Remove is a no-op until a fresh Insert revives the id.
-  const int64_t victim = live.front().id;
-  EXPECT_EQ(grid.Remove(victim), 1u);
+  const uint32_t victim = live.front().id;
+  EXPECT_TRUE(grid.Remove(victim));
   EXPECT_FALSE(grid.Contains(victim));
-  EXPECT_EQ(grid.Relocate(victim, {1, 1}), 0u);
-}
-
-TEST(GridIndexTest, SparseIdsFallBackToRunMergeCorrectly) {
-  // Ids spread over a huge range disable the dense bitmap ordering; the
-  // run-merge fallback must produce the same ascending answers.
-  stats::Rng rng(21);
-  const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
-                                                                {1000, 1000});
-  GridIndex grid(region, 8);
-  std::vector<PointEntry> entries;
-  for (int i = 0; i < 120; ++i) {
-    // Widely scattered ids, including negatives and near-2^40 values.
-    const int64_t id = (static_cast<int64_t>(i) << 33) - 4000000000LL +
-                       static_cast<int64_t>(rng.UniformInt(1000));
-    entries.push_back(RandomPointEntry(rng, 1000.0, 60.0, id));
-    grid.Insert(entries.back().center, entries.back().radius, id);
-  }
-  for (int q = 0; q < 30; ++q) {
-    const geo::BoundingBox query = RandomBox(rng, 1000.0, 200.0);
-    const auto got = grid.QueryIds(query);
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-    EXPECT_EQ(got, BruteForcePoints(entries, query)) << "query " << q;
-  }
-}
-
-TEST(GridIndexTest, DuplicateIdEmittedOnce) {
-  // An id inserted at two locations is reported once per query that reaches
-  // either entry — in both the dense-bitmap and the sparse-merge regimes.
-  const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
-                                                                {1000, 1000});
-  const geo::BoundingBox everywhere = region;
-  {
-    GridIndex dense(region, 8);
-    dense.Insert({100, 100}, 10.0, 7);
-    dense.Insert({900, 900}, 10.0, 7);
-    const auto ids = dense.QueryIds(everywhere);
-    ASSERT_EQ(ids.size(), 1u);
-    EXPECT_EQ(ids[0], 7);
-    EXPECT_EQ(dense.Remove(7), 2u);
-  }
-  {
-    GridIndex sparse(region, 8);
-    sparse.Insert({100, 100}, 10.0, 7);
-    sparse.Insert({900, 900}, 10.0, 7);
-    sparse.Insert({500, 500}, 10.0, int64_t{1} << 40);  // Force sparse mode.
-    const auto ids = sparse.QueryIds(everywhere);
-    ASSERT_EQ(ids.size(), 2u);
-    EXPECT_EQ(ids[0], 7);
-    EXPECT_EQ(ids[1], int64_t{1} << 40);
-  }
+  EXPECT_FALSE(grid.Relocate(victim, {1, 1}));
 }
 
 // ---------------------------------------------------------------- Pruner
 
-std::vector<UncertainRegionPruner::WorkerRegion> MakeRegions(int n,
-                                                             stats::Rng& rng,
-                                                             double extent) {
-  std::vector<UncertainRegionPruner::WorkerRegion> regions;
-  for (int i = 0; i < n; ++i) {
-    regions.push_back({i,
-                       {rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)},
-                       rng.UniformDouble(1000.0, 3000.0)});
+/// `n` uniform workers. The pruner's candidate query reads only the
+/// rectangles, so the certain bands keep their never-accept defaults.
+reachability::WorkerFilterSoA MakeWorkers(size_t n, stats::Rng& rng,
+                                          double extent) {
+  reachability::WorkerFilterSoA workers;
+  workers.Resize(n);
+  workers.accept_below_sq.assign(n, -1.0);
+  workers.reject_above_sq.assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    workers.x[i] = rng.UniformDouble(0, extent);
+    workers.y[i] = rng.UniformDouble(0, extent);
+    workers.reach_radius_m[i] = rng.UniformDouble(1000.0, 3000.0);
   }
-  return regions;
+  return workers;
 }
 
 // The grid-backed pruner against a linear scan of the pruning rectangles.
 TEST(PrunerTest, BackendsAgree) {
   stats::Rng rng(4);
   const double extent = 30000.0;
-  const auto regions = MakeRegions(300, rng, extent);
+  const auto workers = MakeWorkers(300, rng, extent);
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner grid(regions, params, params, 0.9, region);
+  const UncertainRegionPruner grid(workers, params, params, 0.9, region);
   for (int q = 0; q < 30; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     const geo::BoundingBox task_box =
         geo::BoundingBox::FromCircle(task, grid.task_confidence_radius_m());
-    std::vector<int64_t> linear;
-    for (const auto& w : regions) {
+    std::vector<uint32_t> linear;
+    for (uint32_t w = 0; w < workers.size(); ++w) {
       if (geo::BoundingBox::FromCircle(
-              w.noisy_location,
-              grid.worker_confidence_radius_m() + w.reach_radius_m)
+              {workers.x[w], workers.y[w]},
+              grid.worker_confidence_radius_m() + workers.reach_radius_m[w])
               .Intersects(task_box)) {
-        linear.push_back(w.worker_id);
+        linear.push_back(w);
       }
     }
     EXPECT_EQ(grid.Candidates(task), linear) << "query " << q;
@@ -395,24 +356,24 @@ TEST(PrunerTest, NeverDropsOverlappingDiskPairs) {
   // worker must be returned (MBRs enclose the disks).
   stats::Rng rng(5);
   const double extent = 20000.0;
-  const auto regions = MakeRegions(200, rng, extent);
+  const auto workers = MakeWorkers(200, rng, extent);
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner pruner(regions, params, params, 0.9, region);
+  const UncertainRegionPruner pruner(workers, params, params, 0.9, region);
   for (int q = 0; q < 50; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     auto candidates = pruner.Candidates(task);
     std::sort(candidates.begin(), candidates.end());
-    for (const auto& w : regions) {
-      const double gap = geo::Distance(w.noisy_location, task);
+    for (uint32_t w = 0; w < workers.size(); ++w) {
+      const double gap = geo::Distance({workers.x[w], workers.y[w]}, task);
       const double disk_sum = pruner.worker_confidence_radius_m() +
-                              w.reach_radius_m +
+                              workers.reach_radius_m[w] +
                               pruner.task_confidence_radius_m();
       if (gap <= disk_sum) {
-        EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
-                                       w.worker_id))
-            << "worker " << w.worker_id << " at disk distance " << gap;
+        EXPECT_TRUE(
+            std::binary_search(candidates.begin(), candidates.end(), w))
+            << "worker " << w << " at disk distance " << gap;
       }
     }
   }
@@ -420,23 +381,23 @@ TEST(PrunerTest, NeverDropsOverlappingDiskPairs) {
 
 TEST(PrunerTest, ConfidenceRadiusGrowsWithGamma) {
   stats::Rng rng(6);
-  const auto regions = MakeRegions(10, rng, 1000.0);
+  const auto workers = MakeWorkers(10, rng, 1000.0);
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {1000, 1000});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner p50(regions, params, params, 0.5, region);
-  const UncertainRegionPruner p99(regions, params, params, 0.99, region);
+  const UncertainRegionPruner p50(workers, params, params, 0.5, region);
+  const UncertainRegionPruner p99(workers, params, params, 0.99, region);
   EXPECT_LT(p50.worker_confidence_radius_m(), p99.worker_confidence_radius_m());
 }
 
 TEST(PrunerTest, FarTaskPrunesMostWorkers) {
   stats::Rng rng(7);
   const double extent = 50000.0;
-  const auto regions = MakeRegions(500, rng, extent);
+  const auto workers = MakeWorkers(500, rng, extent);
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{1.0, 200.0};  // Little noise.
-  const UncertainRegionPruner pruner(regions, params, params, 0.9, region);
+  const UncertainRegionPruner pruner(workers, params, params, 0.9, region);
   // A task far outside the deployment region keeps almost nothing.
   const auto candidates = pruner.Candidates({extent * 3, extent * 3});
   EXPECT_LT(candidates.size(), 5u);

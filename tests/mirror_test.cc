@@ -1,13 +1,16 @@
-// The cell-major scoring mirror (DESIGN.md section 13): bit-identity of the
-// mirror Collect path against the naive oracle's rectangle-and-direct-eval
-// loop (tests/oracle.h) across models, SIMD dispatch, and thread pools;
-// incremental slice-sync under index churn; and the range classification
-// kernels against their scalar references.
+// The pruning grid's cell-major scoring rows (DESIGN.md section 13):
+// bit-identity of the pruned Collect path against the naive oracle's
+// rectangle-and-direct-eval loop (tests/oracle.h) across models, SIMD
+// dispatch, and thread pools; row and aggregate consistency under index
+// churn; and the range classification kernels against their scalar
+// references. (The suites keep the names of the scoring mirror that the
+// grid's rows replaced.)
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,7 +18,6 @@
 
 #include "assign/scguard_engine.h"
 #include "assign/stages/candidate_stage.h"
-#include "assign/stages/cell_mirror.h"
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
@@ -46,11 +48,11 @@ void ExpectSameTraffic(const MatchResult& a, const MatchResult& b,
       << label;
 }
 
-// The acceptance sweep: for three models and pruning off / on (the mirror
-// path), the engine must reproduce the oracle's MatchResult and caller RNG
-// stream bit for bit under forced-scalar and auto SIMD dispatch and pools
-// {serial, 1, 8}; and the traffic counters themselves must be pool/SIMD
-// invariant.
+// The acceptance sweep: for three models and pruning off / on (the
+// cell-row path), the engine must reproduce the oracle's MatchResult and
+// caller RNG stream bit for bit under forced-scalar and auto SIMD dispatch
+// and pools {serial, 1, 8}; and the traffic counters themselves must be
+// pool/SIMD invariant.
 TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   const reachability::AnalyticalModel analytical(kDefault);
   const reachability::BinaryModel binary;
@@ -125,7 +127,7 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
 }
 
 // A dense grid-pruned run must actually exercise the certificate-direct
-// path (cells emitted with zero per-worker loads), and the mirror's
+// path (cells emitted with zero per-worker loads), and the pruned scan's
 // modeled traffic must come in under a scattered gather of the same
 // scanned workers (one 64 B line per SoA stream: x, y, accept_sq,
 // reject_sq).
@@ -152,14 +154,13 @@ TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   EXPECT_LT(r.metrics.u2u_gather_bytes, 256 * r.metrics.u2u_scanned);
 }
 
-// ---- Incremental slice sync under churn ------------------------------
+// ---- The grid's rows under churn --------------------------------------
 
-/// Reference recomputation of one cell's aggregate straight off the mirror
-/// rows (plain fmin/fmax), the invariant the incremental updates maintain.
-CellScoreMirror::CellAgg ReferenceAgg(const reachability::CellMajorMirror& m,
-                                      size_t begin, uint32_t count) {
-  CellScoreMirror::CellAgg agg;  // Empty sentinel: max < min.
-  if (count == 0) return agg;
+/// Reference recomputation of one cell's alpha aggregate straight off its
+/// rows (plain fmin/fmax), the invariant every grid mutation maintains.
+index::GridIndex::AlphaAgg ReferenceAgg(const reachability::CellRows& m,
+                                        size_t begin, uint32_t count) {
+  index::GridIndex::AlphaAgg agg{};
   agg.min_x = agg.max_x = m.x[begin];
   agg.min_y = agg.max_y = m.y[begin];
   agg.min_accept_sq = m.accept_below_sq[begin];
@@ -175,33 +176,38 @@ CellScoreMirror::CellAgg ReferenceAgg(const reachability::CellMajorMirror& m,
   return agg;
 }
 
-/// Asserts the mirror shadows the grid position for position: every live
-/// slice row equals the index's member arrays plus the soa's bands for that
-/// id, and every cell aggregate equals its reference recomputation.
-void ExpectMirrorInSync(const index::GridIndex& grid,
-                        const CellScoreMirror& mirror,
-                        const reachability::WorkerFilterSoA& soa,
-                        const std::string& label) {
-  const reachability::CellMajorMirror& rows = mirror.rows();
-  ASSERT_GE(rows.size(), grid.member_rows()) << label;
-  for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
-    const size_t begin = grid.cell_begin(slot);
-    const uint32_t count = grid.cell_count(slot);
-    for (size_t pos = begin; pos < begin + count; ++pos) {
-      const auto id = static_cast<uint32_t>(grid.member_id(pos));
-      ASSERT_EQ(rows.id[pos], id) << label << " slot=" << slot;
-      EXPECT_EQ(rows.x[pos], grid.member_x(pos)) << label;
-      EXPECT_EQ(rows.y[pos], grid.member_y(pos)) << label;
-      EXPECT_EQ(rows.expanded_r[pos], grid.member_r(pos)) << label;
+/// Asserts every live row of the grid carries its worker's current state —
+/// location, expanded radius, and the soa's certain bands — that every
+/// worker is stored at most once, and that every cell's alpha aggregate
+/// equals its reference recomputation.
+void ExpectRowsConsistent(const index::GridIndex& grid,
+                          const reachability::WorkerFilterSoA& soa,
+                          const std::vector<double>& radii,
+                          const std::string& label) {
+  const reachability::CellRows& rows = grid.rows();
+  const auto cells = static_cast<size_t>(grid.cells_per_axis());
+  std::vector<uint8_t> seen(soa.size(), 0);
+  size_t live = 0;
+  for (size_t slot = 0; slot < cells * cells; ++slot) {
+    const index::GridIndex::CellView cell = grid.CellForTest(slot);
+    for (size_t pos = cell.begin; pos < cell.begin + cell.count; ++pos) {
+      const uint32_t id = rows.id[pos];
+      ASSERT_LT(id, soa.size()) << label << " slot=" << slot;
+      EXPECT_EQ(seen[id]++, 0) << label << " id=" << id << " stored twice";
+      EXPECT_EQ(rows.x[pos], soa.x[id]) << label;
+      EXPECT_EQ(rows.y[pos], soa.y[id]) << label;
+      EXPECT_EQ(rows.expanded_r[pos], radii[id]) << label;
       EXPECT_EQ(rows.accept_below_sq[pos], soa.accept_below_sq[id]) << label;
       EXPECT_EQ(rows.reject_above_sq[pos], soa.reject_above_sq[id]) << label;
     }
-    const CellScoreMirror::CellAgg expected = ReferenceAgg(rows, begin, count);
-    const CellScoreMirror::CellAgg& got = mirror.CellAggForTest(slot);
-    if (count == 0) {
+    live += cell.count;
+    const index::GridIndex::AlphaAgg& got = cell.alpha;
+    if (cell.count == 0) {
       EXPECT_LT(got.max_x, got.min_x) << label << " slot=" << slot;
       continue;
     }
+    const index::GridIndex::AlphaAgg expected =
+        ReferenceAgg(rows, cell.begin, cell.count);
     EXPECT_EQ(got.min_x, expected.min_x) << label << " slot=" << slot;
     EXPECT_EQ(got.max_x, expected.max_x) << label << " slot=" << slot;
     EXPECT_EQ(got.min_y, expected.min_y) << label << " slot=" << slot;
@@ -209,6 +215,7 @@ void ExpectMirrorInSync(const index::GridIndex& grid,
     EXPECT_EQ(got.min_accept_sq, expected.min_accept_sq) << label;
     EXPECT_EQ(got.max_reject_sq, expected.max_reject_sq) << label;
   }
+  EXPECT_EQ(live, grid.size()) << label;
 }
 
 TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
@@ -234,16 +241,16 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
   }
 
   index::GridIndex grid(region, 8);
-  for (size_t i = 0; i < n; ++i) {
-    grid.Insert({soa.x[i], soa.y[i]}, radii[i], static_cast<int64_t>(i));
-  }
-  CellScoreMirror mirror;
-  mirror.Attach(&grid, &soa);
-  ExpectMirrorInSync(grid, mirror, soa, "after attach");
+  auto insert = [&](size_t i) {
+    grid.Insert({soa.x[i], soa.y[i]}, radii[i], static_cast<uint32_t>(i),
+                soa.accept_below_sq[i], soa.reject_above_sq[i]);
+  };
+  for (size_t i = 0; i < n; ++i) insert(i);
+  ExpectRowsConsistent(grid, soa, radii, "after build");
 
-  // Interleaved removals (MarkMatched) and re-adds, checking sync at every
-  // step; the erase path shifts slice tails down, the insert path shifts
-  // them up (or triggers a rebuild when a slice fills).
+  // Interleaved removals (MarkMatched) and re-adds, checking the rows at
+  // every step; the erase path shifts slice tails down, the insert path
+  // shifts them up (or triggers a rebuild when a slice fills).
   std::vector<uint32_t> removed;
   for (int step = 0; step < 120; ++step) {
     const bool remove = removed.size() < 60 &&
@@ -251,79 +258,81 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
     if (remove) {
       const auto victim =
           static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
-      if (grid.Remove(victim) > 0) removed.push_back(victim);
+      if (grid.Remove(victim)) removed.push_back(victim);
     } else {
-      const uint32_t back = removed.back();
+      insert(removed.back());
       removed.pop_back();
-      grid.Insert({soa.x[back], soa.y[back]}, radii[back],
-                  static_cast<int64_t>(back));
     }
-    ExpectMirrorInSync(grid, mirror, soa,
-                       "churn step " + std::to_string(step));
+    ExpectRowsConsistent(grid, soa, radii,
+                         "churn step " + std::to_string(step));
   }
 
-  // Location churn (UpdateWorkerLocation): remove + re-insert elsewhere.
-  for (int step = 0; step < 20; ++step) {
+  // Location churn (UpdateWorkerLocation): same-cell jitters update a row
+  // in place, cross-cell jumps erase and re-insert it with its bands.
+  for (int step = 0; step < 40; ++step) {
     const auto id =
         static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
-    grid.Remove(id);
-    soa.x[id] = rng.UniformDouble(0.0, 10000.0);
-    soa.y[id] = rng.UniformDouble(0.0, 10000.0);
-    grid.Insert({soa.x[id], soa.y[id]}, radii[id], static_cast<int64_t>(id));
-    ExpectMirrorInSync(grid, mirror, soa,
-                       "relocate step " + std::to_string(step));
+    if (step % 2 == 0) {
+      soa.x[id] += rng.UniformDouble(-20.0, 20.0);
+      soa.y[id] += rng.UniformDouble(-20.0, 20.0);
+    } else {
+      soa.x[id] = rng.UniformDouble(0.0, 10000.0);
+      soa.y[id] = rng.UniformDouble(0.0, 10000.0);
+    }
+    if (!grid.Relocate(id, {soa.x[id], soa.y[id]})) insert(id);
+    ExpectRowsConsistent(grid, soa, radii,
+                         "relocate step " + std::to_string(step));
   }
 
   // Forced rebuild: pile inserts into one cell until its slice headroom
-  // runs out, which re-lays the whole member array (OnRebuild -> resync).
-  const size_t rows_before = grid.member_rows();
+  // runs out, which re-lays the whole row store.
+  const size_t rows_before = grid.rows().size();
   for (size_t i = n; i < n + 64; ++i) {
     soa.Resize(i + 1);
-    soa.accept_below_sq.resize(i + 1, 1.0);
-    soa.reject_above_sq.resize(i + 1, 2.0);
+    soa.accept_below_sq.resize(i + 1, 1.0e6);
+    soa.reject_above_sq.resize(i + 1, 4.0e6);
     soa.x[i] = 1234.5;
     soa.y[i] = 1234.5;
     soa.reach_radius_m[i] = 600.0;
-    soa.accept_below_sq[i] = 1.0e6;
-    soa.reject_above_sq[i] = 4.0e6;
-    grid.Insert({soa.x[i], soa.y[i]}, 900.0, static_cast<int64_t>(i));
+    radii.push_back(900.0);
+    insert(i);
   }
-  EXPECT_GT(grid.member_rows(), rows_before);  // At least one rebuild.
-  ExpectMirrorInSync(grid, mirror, soa, "after forced rebuild");
+  EXPECT_GT(grid.rows().size(), rows_before);  // At least one rebuild.
+  ExpectRowsConsistent(grid, soa, radii, "after forced rebuild");
 
   // Certificates after all that churn: a whole-cell verdict must agree
   // with the per-member trichotomy it replaces.
+  const reachability::CellRows& rows = grid.rows();
+  const auto cells = static_cast<size_t>(grid.cells_per_axis());
   for (int t = 0; t < 32; ++t) {
     const double tx = rng.UniformDouble(0.0, 10000.0);
     const double ty = rng.UniformDouble(0.0, 10000.0);
-    for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
-      const uint32_t count = grid.cell_count(slot);
-      if (count == 0) continue;
-      const auto cert = mirror.Certify(slot, tx, ty);
-      if (cert == CellScoreMirror::CellAlpha::kMixed) continue;
-      const size_t begin = grid.cell_begin(slot);
-      for (size_t pos = begin; pos < begin + count; ++pos) {
-        const double dx = mirror.rows().x[pos] - tx;
-        const double dy = mirror.rows().y[pos] - ty;
+    for (size_t slot = 0; slot < cells * cells; ++slot) {
+      const index::GridIndex::CellView cell = grid.CellForTest(slot);
+      if (cell.count == 0) continue;
+      const auto cert = grid.Certify(slot, tx, ty);
+      if (cert == index::GridIndex::CellAlpha::kMixed) continue;
+      for (size_t pos = cell.begin; pos < cell.begin + cell.count; ++pos) {
+        const double dx = rows.x[pos] - tx;
+        const double dy = rows.y[pos] - ty;
         const double d_sq = dx * dx + dy * dy;
-        if (cert == CellScoreMirror::CellAlpha::kAllAccept) {
-          EXPECT_LE(d_sq, mirror.rows().accept_below_sq[pos])
+        if (cert == index::GridIndex::CellAlpha::kAllAccept) {
+          EXPECT_LE(d_sq, rows.accept_below_sq[pos])
               << "slot=" << slot << " pos=" << pos;
         } else {
-          EXPECT_GE(d_sq, mirror.rows().reject_above_sq[pos])
+          EXPECT_GE(d_sq, rows.reject_above_sq[pos])
               << "slot=" << slot << " pos=" << pos;
         }
       }
     }
   }
-
-  mirror.ForgetGrid();
 }
 
-// Stage-level churn: the mirror stage and the oracle's mirror-free U2U
-// loop, driven through the same AddWorker / Collect / MarkMatched /
+// Stage-level churn: the pruned stage and the oracle's naive U2U loop,
+// driven through the same AddWorker / Collect / MarkMatched /
 // UpdateWorkerLocation / ResetAvailability sequence, must emit identical
-// candidate lists and scan accounting throughout.
+// candidate lists and scan accounting throughout — including for
+// registrations with non-finite locations, which both must reject.
 TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
@@ -344,20 +353,40 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
   const oracle::NaiveU2u off(policy, region);
 
   stats::Rng rng(23);
-  const size_t n = 500;
-  std::vector<geo::Point> locs(n);
-  std::vector<double> radii(n);
-  std::vector<uint8_t> matched(n, 0);
-  for (size_t i = 0; i < n; ++i) {
+  const size_t uniform = 500;
+  std::vector<geo::Point> locs(uniform);
+  std::vector<double> radii(uniform);
+  for (size_t i = 0; i < uniform; ++i) {
     locs[i] = {rng.UniformDouble(0.0, 20000.0),
                rng.UniformDouble(0.0, 20000.0)};
     radii[i] = rng.UniformDouble(800.0, 2500.0);
-    on.AddWorker(locs[i], radii[i]);
   }
+  // Hostile registrations: eight workers far outside the region share the
+  // grid's corner cell with a NaN worker registered after them (NaN clamps
+  // to cell 0 too), and infinite coordinates land in other border cells.
+  // A task at the far point bulk-accepts that corner cell unless the NaN
+  // row keeps it from certifying.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const geo::Point far{-1e7, -1e7};
+  for (int k = 0; k < 8; ++k) locs.push_back(far);
+  for (const geo::Point hostile : {geo::Point{kNan, kNan},
+                                   geo::Point{kInf, kInf},
+                                   geo::Point{-kInf, 10000.0},
+                                   geo::Point{10000.0, kInf},
+                                   geo::Point{kNan, 10000.0}}) {
+    locs.push_back(hostile);
+  }
+  radii.resize(locs.size(), 1500.0);
+  const size_t n = locs.size();
+  std::vector<uint8_t> matched(n, 0);
+  for (size_t i = 0; i < n; ++i) on.AddWorker(locs[i], radii[i]);
 
   for (int step = 0; step < 60; ++step) {
-    const geo::Point task{rng.UniformDouble(0.0, 20000.0),
-                          rng.UniformDouble(0.0, 20000.0)};
+    const geo::Point task =
+        step % 10 == 5 ? far
+                       : geo::Point{rng.UniformDouble(0.0, 20000.0),
+                                    rng.UniformDouble(0.0, 20000.0)};
     const std::vector<uint32_t> got_on = on.Collect(task);
     int64_t scanned_off = 0;
     const std::vector<uint32_t> got_off =
@@ -375,8 +404,8 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
       matched[got_on.front()] = 1;
     }
     if (step % 7 == 3) {
-      const auto mover =
-          static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
+      const auto mover = static_cast<uint32_t>(
+          rng.UniformDouble() * static_cast<double>(uniform));
       locs[mover] = {rng.UniformDouble(0.0, 20000.0),
                      rng.UniformDouble(0.0, 20000.0)};
       on.UpdateWorkerLocation(mover, locs[mover]);
@@ -394,8 +423,8 @@ TEST(MirrorStageChurnTest, IncrementalRelocateMatchesFreshStage) {
   // workers reactivated via MarkAvailable — applied incrementally must
   // leave the stage answering exactly like one built fresh over the final
   // worker state. This pins the whole Relocate chain: GridIndex in-place
-  // move, mirror OnSliceUpdate row refresh, pruner record update, and
-  // Restore's re-insert at the *new* location.
+  // move or cross-cell re-insert with the row's bands, and Restore's
+  // re-insert at the *new* location.
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
@@ -467,11 +496,11 @@ TEST(MirrorStageChurnTest, IncrementalRelocateMatchesFreshStage) {
 
 // ---- Range kernels vs references -------------------------------------
 
-/// A mirror whose bounds cover every trichotomy shape, like kernel_test's
+/// Rows whose bounds cover every trichotomy shape, like kernel_test's
 /// ClassifierSoA: mode 0 mixed, 1 empty band, 2 all-accept, 3 all-reject.
-reachability::CellMajorMirror ClassifierMirror(size_t n, int mode,
+reachability::CellRows ClassifierRows(size_t n, int mode,
                                                stats::Rng& rng) {
-  reachability::CellMajorMirror m;
+  reachability::CellRows m;
   m.Resize(n);
   for (size_t i = 0; i < n; ++i) {
     m.id[i] = static_cast<uint32_t>(1000 + i * 3);  // Arbitrary id values.
@@ -506,7 +535,7 @@ reachability::CellMajorMirror ClassifierMirror(size_t n, int mode,
 }
 
 /// Branchy reference of the range trichotomy (same arithmetic order).
-void ReferenceRange(const reachability::CellMajorMirror& m, size_t begin,
+void ReferenceRange(const reachability::CellRows& m, size_t begin,
                     size_t count, double tx, double ty,
                     std::vector<uint32_t>& accept,
                     std::vector<uint32_t>& band) {
@@ -523,7 +552,7 @@ void ReferenceRange(const reachability::CellMajorMirror& m, size_t begin,
 }
 
 /// Branchy reference of the fused rectangle + trichotomy boundary kernel.
-size_t ReferenceRangeRect(const reachability::CellMajorMirror& m, size_t begin,
+size_t ReferenceRangeRect(const reachability::CellRows& m, size_t begin,
                           size_t count, double tx, double ty, double q_min_x,
                           double q_min_y, double q_max_x, double q_max_y,
                           std::vector<uint32_t>& accept,
@@ -553,7 +582,7 @@ TEST(RangeKernelTest, ScalarMatchesReferenceAndAppends) {
                              size_t{5}, size_t{8}, size_t{13}, size_t{64},
                              size_t{257}}) {
     for (int mode = 0; mode < 4; ++mode) {
-      const auto m = ClassifierMirror(count + 8, mode, rng);
+      const auto m = ClassifierRows(count + 8, mode, rng);
       const size_t begin = count > 2 ? 3 : 0;  // Off-origin range starts.
       const double tx = rng.UniformDouble(0.0, 20000.0);
       const double ty = rng.UniformDouble(0.0, 20000.0);
@@ -598,7 +627,7 @@ TEST(RangeKernelTest, Avx2MatchesScalarBitIdentically) {
                              size_t{13}, size_t{16}, size_t{33}, size_t{64},
                              size_t{257}}) {
     for (int mode = 0; mode < 4; ++mode) {
-      const auto m = ClassifierMirror(count + 8, mode, rng);
+      const auto m = ClassifierRows(count + 8, mode, rng);
       const size_t begin = count > 2 ? 5 : 0;  // Unaligned range starts.
       const double tx = rng.UniformDouble(0.0, 20000.0);
       const double ty = rng.UniformDouble(0.0, 20000.0);

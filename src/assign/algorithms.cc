@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "assign/ground_truth.h"
 #include "assign/scguard_engine.h"
 #include "common/check.h"
 #include "common/str_format.h"
@@ -22,11 +21,37 @@ EnginePolicy BasePolicy(const AlgorithmParams& params) {
   return policy;
 }
 
+/// GroundTruth-RR / -NN: the oblivious engine over a copy of the workload
+/// whose noisy locations are the exact ones. With exact inputs the binary
+/// U2U filter admits exactly the reachable available workers and every
+/// contact accepts, so the engine runs Ranking [Karp90] (random rank) or
+/// its nearest-neighbor variant.
+class ExactLocationMatcher final : public OnlineMatcher {
+ public:
+  explicit ExactLocationMatcher(RankStrategy strategy)
+      : strategy_(strategy), oblivious_(MakeOblivious(strategy, {})) {}
+
+  MatchResult Run(const Workload& workload, stats::Rng& rng) override {
+    Workload exact = workload;
+    for (Worker& w : exact.workers) w.noisy_location = w.location;
+    for (Task& t : exact.tasks) t.noisy_location = t.location;
+    return oblivious_.Run(exact, rng);
+  }
+
+  std::string name() const override {
+    return StrCat("GroundTruth-", RankStrategyName(strategy_));
+  }
+
+ private:
+  RankStrategy strategy_;
+  MatcherHandle oblivious_;
+};
+
 }  // namespace
 
 MatcherHandle MakeGroundTruth(RankStrategy strategy) {
   MatcherHandle handle;
-  handle.matcher = std::make_unique<GroundTruthMatcher>(strategy);
+  handle.matcher = std::make_unique<ExactLocationMatcher>(strategy);
   return handle;
 }
 

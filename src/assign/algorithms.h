@@ -45,7 +45,10 @@ struct AlgorithmParams {
   EngineRuntime runtime;
 };
 
-/// GroundTruth-RR / GroundTruth-NN: the non-private Ranking upper bound.
+/// GroundTruth-RR / GroundTruth-NN: the non-private Ranking upper bound
+/// [Karp90], run as the oblivious engine over exact locations; `strategy`
+/// must be kRandom (RR) or kNearest (NN). Every match is valid by
+/// construction.
 MatcherHandle MakeGroundTruth(RankStrategy strategy);
 
 /// Oblivious-RR / Oblivious-RN (Algorithm 1): noisy locations treated as

@@ -88,16 +88,6 @@ void U2uCandidateStage::RebuildShards() {
   }
 }
 
-void U2uCandidateStage::ResetAvailability() {
-  std::fill(soa_.matched.begin(), soa_.matched.end(), uint8_t{0});
-  if (config_.pruning.has_value()) {
-    // Matched workers were removed from the index; rebuild it fresh.
-    pruner_.reset();
-  } else if (prepared_) {
-    RebuildShards();
-  }
-}
-
 void U2uCandidateStage::Prepare() {
   const size_t n = soa_.size();
   const bool pruner_ready = !config_.pruning.has_value() || pruner_ != nullptr;

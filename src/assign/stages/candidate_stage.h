@@ -48,9 +48,10 @@ struct EngineRuntime {
 /// Pr(reachable | d') >= alpha. One object owns everything the scan needs —
 /// the WorkerFilterSoA snapshot, the inverted AlphaThresholdCache with its
 /// per-worker certain bands, the optional uncertainty-rectangle grid pruner
-/// whose cell-major rows it scores, and the sharded active-set scan state — so every pipeline (TaskPipeline, core::TaskingServer,
-/// sim/dynamic, BatchMatcher) shares one filter implementation and its
-/// decisions stay bit-identical across call sites.
+/// whose cell-major rows it scores, and the sharded active-set scan state.
+/// Every caller shares this one filter, so its decisions stay bit-identical
+/// across them: TaskPipeline (the engine, the service and sim/dynamic),
+/// core::TaskingServer, and BatchMatcher's feasibility test (Decide).
 ///
 /// There are exactly two scan paths: without pruning, a sharded scan over
 /// per-shard active lists; with pruning, a certified cell walk over the
@@ -123,10 +124,6 @@ class U2uCandidateStage {
   /// radius — and with it the inverted thresholds — stays fixed.
   void UpdateWorkerLocation(uint32_t worker, geo::Point noisy_location);
 
-  /// Clears all matched marks and restores every shard's active set (round
-  /// boundaries in multi-round simulations).
-  void ResetAvailability();
-
   /// Finishes lazy setup — threshold prewarm for every registered radius,
   /// shard active lists, the pruning index — so the first Collect pays no
   /// setup cost. Collect calls this itself; exposed so orchestrators can
@@ -151,10 +148,10 @@ class U2uCandidateStage {
   void MarkMatched(uint32_t worker);
 
   /// Clears one worker's matched mark so it reappears in future Collect
-  /// results (service-side reactivation when a matched worker re-reports;
-  /// the whole-run analog is ResetAvailability). Restores the worker in the
-  /// pruning index / its shard's active list. No-op for workers that are
-  /// not matched.
+  /// results (service-side reactivation when a matched worker re-reports,
+  /// and every worker at sim/dynamic's round boundaries). Restores the
+  /// worker in the pruning index / its shard's active list. No-op for
+  /// workers that are not matched.
   void MarkAvailable(uint32_t worker);
 
   size_t size() const { return soa_.size(); }

@@ -13,35 +13,6 @@ U2eRankStage::U2eRankStage(const Config& config) : config_(config) {
   }
 }
 
-void U2eRankStage::ScoreBatch(const double* observed_distance_m,
-                              const double* reach_radius_m, size_t n,
-                              double* out) {
-  if (lut_.has_value()) {
-    for (size_t k = 0; k < n; ++k) {
-      out[k] = lut_->Prob(observed_distance_m[k], reach_radius_m[k]);
-    }
-    return;
-  }
-  config_.model->ProbReachableBatch(reachability::Stage::kU2E,
-                                    observed_distance_m, reach_radius_m, n,
-                                    out);
-}
-
-U2eRankStage::BatchInputs U2eRankStage::StageScoreInputs(size_t n) {
-  if (d_.size() < n) {
-    d_.resize(n);
-    r_.resize(n);
-  }
-  if (p_.size() < n) p_.resize(n);
-  return {d_.data(), r_.data()};
-}
-
-const double* U2eRankStage::ScoreStagedInputs(size_t n) {
-  SCGUARD_CHECK(d_.size() >= n && r_.size() >= n && p_.size() >= n);
-  ScoreBatch(d_.data(), r_.data(), n, p_.data());
-  return p_.data();
-}
-
 void U2eRankStage::Rank(const reachability::WorkerFilterSoA& soa,
                         const std::vector<uint32_t>& candidates,
                         geo::Point exact_task_location,
@@ -62,7 +33,12 @@ void U2eRankStage::Rank(const reachability::WorkerFilterSoA& soa,
       d_[k] = geo::Distance({soa.x[i], soa.y[i]}, exact_task_location);
       r_[k] = soa.reach_radius_m[i];
     }
-    ScoreBatch(d_.data(), r_.data(), c, p_.data());
+    if (lut_.has_value()) {
+      for (size_t k = 0; k < c; ++k) p_[k] = lut_->Prob(d_[k], r_[k]);
+    } else {
+      config_.model->ProbReachableBatch(reachability::Stage::kU2E, d_.data(),
+                                        r_.data(), c, p_.data());
+    }
     for (size_t k = 0; k < c; ++k) {
       ranked.emplace_back(p_[k], candidates[k]);
     }

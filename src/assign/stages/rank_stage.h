@@ -46,17 +46,6 @@ void SortRankedCandidates(std::vector<Pair>& ranked) {
   std::sort(ranked.begin(), ranked.end(), ScoreDescIdAscLess{});
 }
 
-/// As above for pairs whose second member is not itself the id (e.g. the
-/// protocol layer ranks CandidateWorker pointers); `id_of` projects it.
-template <typename Pair, typename IdFn>
-void SortRankedCandidates(std::vector<Pair>& ranked, IdFn id_of) {
-  std::sort(ranked.begin(), ranked.end(),
-            [&id_of](const Pair& a, const Pair& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return id_of(a.second) < id_of(b.second);
-            });
-}
-
 /// The requester-side U2E ranking stage (Alg. 2 Lines 10-12, DESIGN.md
 /// section 10): scores candidates against the *exact* task location — which
 /// only the requester knows — and orders them best-first with the shared
@@ -101,28 +90,6 @@ class U2eRankStage {
             geo::Point exact_task_location, const double* random_rank,
             std::vector<std::pair<double, size_t>>& ranked,
             int64_t audit_task_id = obs::kAuditNoTask);
-
-  /// Batched probability scoring of (observed distance, radius) pairs:
-  /// out[i] = Pr(reachable at U2E | d[i], r[i]), through the LUT when
-  /// enabled. The protocol-party adapter ranks AoS candidate lists through
-  /// this.
-  void ScoreBatch(const double* observed_distance_m,
-                  const double* reach_radius_m, size_t n, double* out);
-
-  /// Staged variant of ScoreBatch for AoS call sites (the protocol device
-  /// ranks CandidateWorker lists): write the i-th candidate's observed
-  /// distance / radius into the arrays StageScoreInputs(n) returns, then
-  /// ScoreStagedInputs(n) scores them and returns the probabilities. Both
-  /// point into the stage's batching scratch, so a caller ranking
-  /// repeatedly through one stage allocates nothing once the high-water
-  /// capacity is reached. Pointers are invalidated by the next
-  /// StageScoreInputs or Rank call.
-  struct BatchInputs {
-    double* observed_distance_m;
-    double* reach_radius_m;
-  };
-  BatchInputs StageScoreInputs(size_t n);
-  const double* ScoreStagedInputs(size_t n);
 
  private:
   Config config_;

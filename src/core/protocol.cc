@@ -35,72 +35,45 @@ RequesterDevice::RequesterDevice(int64_t task_id, geo::Point true_task_location,
                                  const privacy::PrivacyParams& params)
     : task_id_(task_id),
       true_task_location_(true_task_location),
-      params_(params),
       mechanism_(privacy::MakeMechanismOrDie(params)) {}
 
 TaskRequest RequesterDevice::Submit(stats::Rng& rng) {
   return {task_id_, mechanism_->Perturb(true_task_location_, rng)};
 }
 
-std::vector<CandidateWorker> RequesterDevice::RankCandidates(
+std::vector<std::pair<double, int64_t>> RequesterDevice::RankCandidates(
     const std::vector<CandidateWorker>& candidates,
     const reachability::ReachabilityModel& model, double beta) const {
-  // The shared U2E stage scores the whole candidate list with one batched
-  // model call (bit-identical to per-candidate ProbReachable, see
-  // kernel_test); the device keeps only the message marshalling. The stage
-  // and its staging buffers live on the device so back-to-back rankings
-  // reuse them instead of reallocating per task.
-  if (!stage_.has_value() || stage_model_ != &model) {
-    stage_.emplace(assign::U2eRankStage::Config{
-        .model = &model, .rank = assign::RankStrategy::kProbability,
-        .kernel = {}});
-    stage_model_ = &model;
-  }
+  // One batched model call scores the whole list (bit-identical to
+  // per-candidate ProbReachable, see kernel_test).
   const size_t n = candidates.size();
-  const assign::U2eRankStage::BatchInputs in = stage_->StageScoreInputs(n);
+  std::vector<double> d(n), r(n), p(n);
   for (size_t i = 0; i < n; ++i) {
-    in.observed_distance_m[i] =
-        geo::Distance(candidates[i].noisy_location, true_task_location_);
-    in.reach_radius_m[i] = candidates[i].reach_radius_m;
+    d[i] = geo::Distance(candidates[i].noisy_location, true_task_location_);
+    r[i] = candidates[i].reach_radius_m;
   }
-  const double* p = stage_->ScoreStagedInputs(n);
-  scored_.clear();
-  scored_.reserve(n);
+  model.ProbReachableBatch(reachability::Stage::kU2E, d.data(), r.data(), n,
+                           p.data());
+  std::vector<std::pair<double, int64_t>> plan;
+  plan.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (p[i] < beta) continue;  // Below the disclosure threshold.
-    scored_.emplace_back(p[i], &candidates[i]);
+    plan.emplace_back(p[i], candidates[i].worker_id);
   }
-  assign::SortRankedCandidates(
-      scored_, [](const CandidateWorker* c) { return c->worker_id; });
-  std::vector<CandidateWorker> plan;
-  plan.reserve(scored_.size());
-  for (const auto& [score, c] : scored_) plan.push_back(*c);
+  assign::SortRankedCandidates(plan);
   return plan;
 }
 
 // ---------------------------------------------------------------- Server
 
-namespace {
-
-assign::U2uCandidateStage MakeServerStage(
-    const reachability::ReachabilityModel* model, double alpha,
-    const reachability::KernelOptions& kernel) {
-  assign::U2uCandidateStage::Config config;
-  config.model = model;
-  config.alpha = alpha;
-  config.kernel = kernel;
-  return assign::U2uCandidateStage(std::move(config));
-}
-
-}  // namespace
-
 TaskingServer::TaskingServer(const reachability::ReachabilityModel* model,
                              double alpha,
                              reachability::KernelOptions kernel)
-    : stage_(MakeServerStage(model, alpha, kernel)) {}
+    : stage_({.model = model, .alpha = alpha, .kernel = kernel,
+              .runtime = {}, .pruning = std::nullopt}) {}
 
 void TaskingServer::RegisterWorker(const WorkerRegistration& registration) {
-  workers_.push_back(registration);
+  worker_ids_.push_back(registration.worker_id);
   stage_.AddWorker(registration.noisy_location, registration.reach_radius_m);
 }
 
@@ -110,18 +83,19 @@ std::vector<CandidateWorker> TaskingServer::FindCandidates(
   // candidates — the same order the per-registration scan produced.
   const std::vector<uint32_t>& indices =
       stage_.Collect(request.noisy_location);
+  const reachability::WorkerFilterSoA& soa = stage_.soa();
   std::vector<CandidateWorker> candidates;
   candidates.reserve(indices.size());
   for (const uint32_t i : indices) {
-    const WorkerRegistration& w = workers_[i];
-    candidates.push_back({w.worker_id, w.noisy_location, w.reach_radius_m});
+    candidates.push_back(
+        {worker_ids_[i], {soa.x[i], soa.y[i]}, soa.reach_radius_m[i]});
   }
   return candidates;
 }
 
 void TaskingServer::MarkAssigned(int64_t worker_id) {
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    if (workers_[i].worker_id == worker_id) {
+  for (size_t i = 0; i < worker_ids_.size(); ++i) {
+    if (worker_ids_[i] == worker_id) {
       stage_.MarkMatched(static_cast<uint32_t>(i));
       return;
     }
@@ -157,29 +131,30 @@ TaskOutcome ProtocolCoordinator::AssignTask(
 
   // U2E on the requester's device (exact task location never leaves it
   // until the targeted disclosure below).
-  const std::vector<CandidateWorker> plan =
+  const std::vector<std::pair<double, int64_t>> plan =
       requester.RankCandidates(candidates, *u2e_model_, beta_);
 
   // E2E: disclose the task location to one worker at a time. The plan is
   // already beta-filtered and ordered, so the shared contact stage runs
-  // gate-free and this adapter only routes offers to the devices.
+  // gate-free and this adapter only routes offers to the devices; each
+  // audited disclosure carries the U2E score that justified it.
   const assign::E2eContactStage contact(
       {.rank = assign::RankStrategy::kProbability, .beta = 0.0,
        .beta_mode = assign::BetaMode::kEveryContact, .redundancy_k = 1});
-  const assign::E2eContactStage::Outcome o = contact.ContactPlan(
+  const assign::E2eContactStage::Outcome o = contact.Contact(
       plan,
-      [&](const CandidateWorker& c) {
-        SCGUARD_CHECK(c.worker_id >= 0 &&
-                      static_cast<size_t>(c.worker_id) < workers.size());
-        const WorkerDevice& device = workers[static_cast<size_t>(c.worker_id)];
+      [&](int64_t worker_id) {
+        SCGUARD_CHECK(worker_id >= 0 &&
+                      static_cast<size_t>(worker_id) < workers.size());
+        const WorkerDevice& device = workers[static_cast<size_t>(worker_id)];
         if (!device.HandleTaskOffer(requester.exact_task_location())) {
           return false;
         }
-        server_->MarkAssigned(c.worker_id);
-        outcome.assigned_worker = c.worker_id;
+        server_->MarkAssigned(worker_id);
+        outcome.assigned_worker = worker_id;
         return true;
       },
-      requester.task_id(), [](const CandidateWorker& c) { return c.worker_id; });
+      requester.task_id(), assign::UnknownAdmitFilter{});
   trace_.task_location_disclosures += o.disclosures;
   trace_.rejections += o.false_hits;
   outcome.disclosures = o.disclosures;

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "assign/stages/candidate_stage.h"
-#include "assign/stages/rank_stage.h"
 #include "geo/point.h"
 #include "privacy/mechanism.h"
 #include "privacy/privacy_params.h"
@@ -81,11 +81,13 @@ class RequesterDevice {
   /// Perturbs the task location and returns the submission message.
   TaskRequest Submit(stats::Rng& rng);
 
-  /// U2E stage: orders `candidates` by reachability (scored by `model`
-  /// against the *exact* task location, which only this device knows),
-  /// dropping those below `beta`. The returned order is the contact plan;
-  /// the coordinator discloses the task location to one worker at a time.
-  std::vector<CandidateWorker> RankCandidates(
+  /// U2E stage: scores `candidates` by reachability (`model` against the
+  /// *exact* task location, which only this device knows), drops those
+  /// below `beta`, and returns the rest as (score, worker id) pairs in the
+  /// shared score-desc / id-asc contact order. That order is the contact
+  /// plan; the coordinator discloses the task location to one worker at a
+  /// time.
+  std::vector<std::pair<double, int64_t>> RankCandidates(
       const std::vector<CandidateWorker>& candidates,
       const reachability::ReachabilityModel& model, double beta) const;
 
@@ -95,17 +97,8 @@ class RequesterDevice {
  private:
   int64_t task_id_;
   geo::Point true_task_location_;
-  privacy::PrivacyParams params_;
   /// See WorkerDevice::mechanism_.
   std::shared_ptr<const privacy::Mechanism> mechanism_;
-  /// Lazily built U2E stage plus ranking scratch, reused across
-  /// RankCandidates calls so the per-task hot path stops allocating once
-  /// capacities settle; rebuilt if a caller switches models. Mutable
-  /// because ranking is logically const (the device's observable state —
-  /// task id, location, budget — never changes).
-  mutable std::optional<assign::U2eRankStage> stage_;
-  mutable const reachability::ReachabilityModel* stage_model_ = nullptr;
-  mutable std::vector<std::pair<double, const CandidateWorker*>> scored_;
 };
 
 /// The untrusted SC server: sees only registrations and task requests
@@ -133,9 +126,9 @@ class TaskingServer {
   size_t available_workers() const;
 
  private:
-  /// Registration messages in arrival order; stage worker indices equal
-  /// positions here (the stage registers them in the same order).
-  std::vector<WorkerRegistration> workers_;
+  /// Worker ids in registration order: stage index i is worker_ids_[i].
+  /// Noisy locations and radii live in the stage's snapshot.
+  std::vector<int64_t> worker_ids_;
   /// The server object models a single logical party and is not called
   /// concurrently, so a mutable stage behind the const query keeps the
   /// message-level API unchanged (the stage memoizes thresholds and scan

@@ -1,6 +1,8 @@
 #include "core/variants.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "assign/stages/contact_stage.h"
 #include "assign/stages/rank_stage.h"
@@ -9,14 +11,30 @@
 namespace scguard::core {
 namespace {
 
-/// All variants contact one worker at a time until the first accept; the
-/// ranked lists are already filtered, so the stage runs without beta gating
+/// The E2E walk every variant ends with: discloses the exact task location
+/// to the `ranked` workers best-first until the first accept. The lists
+/// are already filtered, so the stage runs without beta gating
 /// (Config::beta = 0 disables it).
-const assign::E2eContactStage& SequentialContact() {
+void ContactBestFirst(const std::vector<std::pair<double, int64_t>>& ranked,
+                      const RequesterDevice& requester,
+                      const TaskRequest& request,
+                      const std::vector<WorkerDevice>& workers,
+                      VariantOutcome& outcome) {
   static const assign::E2eContactStage stage(
       {.rank = assign::RankStrategy::kProbability, .beta = 0.0,
        .beta_mode = assign::BetaMode::kEveryContact, .redundancy_k = 1});
-  return stage;
+  const auto o = stage.Contact(
+      ranked,
+      [&](int64_t worker_id) {
+        const WorkerDevice& device = workers[static_cast<size_t>(worker_id)];
+        if (!device.HandleTaskOffer(requester.exact_task_location())) {
+          return false;
+        }
+        outcome.assigned_worker = worker_id;
+        return true;
+      },
+      request.task_id, assign::UnknownAdmitFilter{});
+  outcome.task_location_disclosures += o.disclosures;
 }
 
 // Worker-side reachability estimate: the worker knows its exact location
@@ -28,30 +46,6 @@ double WorkerSideEstimate(const reachability::ReachabilityModel& model,
       reachability::Stage::kU2E,
       geo::Distance(worker.true_location_for_testing(), noisy_task),
       worker.reach_radius_m());
-}
-
-VariantOutcome RunSequential(const RequesterDevice& requester,
-                             const TaskRequest& request,
-                             const std::vector<CandidateWorker>& candidates,
-                             const std::vector<WorkerDevice>& workers,
-                             const reachability::ReachabilityModel& model,
-                             double beta) {
-  VariantOutcome outcome;
-  const std::vector<CandidateWorker> plan =
-      requester.RankCandidates(candidates, model, beta);
-  const auto o = SequentialContact().ContactPlan(
-      plan,
-      [&](const CandidateWorker& c) {
-        const WorkerDevice& device = workers[static_cast<size_t>(c.worker_id)];
-        if (!device.HandleTaskOffer(requester.exact_task_location())) {
-          return false;
-        }
-        outcome.assigned_worker = c.worker_id;
-        return true;
-      },
-      request.task_id, [](const CandidateWorker& c) { return c.worker_id; });
-  outcome.task_location_disclosures += o.disclosures;
-  return outcome;
 }
 
 VariantOutcome RunParallelBroadcast(
@@ -79,18 +73,7 @@ VariantOutcome RunParallelBroadcast(
         c.worker_id);
   }
   assign::SortRankedCandidates(revealed);
-  const auto o = SequentialContact().Contact(
-      revealed,
-      [&](int64_t worker_id) {
-        const WorkerDevice& device = workers[static_cast<size_t>(worker_id)];
-        if (!device.HandleTaskOffer(requester.exact_task_location())) {
-          return false;
-        }
-        outcome.assigned_worker = worker_id;
-        return true;
-      },
-      request.task_id, assign::UnknownAdmitFilter{});
-  outcome.task_location_disclosures += o.disclosures;
+  ContactBestFirst(revealed, requester, request, workers, outcome);
   return outcome;
 }
 
@@ -123,18 +106,7 @@ VariantOutcome RunServerRanked(const RequesterDevice& requester,
     scored.emplace_back(score, c.worker_id);
   }
   assign::SortRankedCandidates(scored);
-  const auto o = SequentialContact().Contact(
-      scored,
-      [&](int64_t worker_id) {
-        const WorkerDevice& device = workers[static_cast<size_t>(worker_id)];
-        if (!device.HandleTaskOffer(requester.exact_task_location())) {
-          return false;
-        }
-        outcome.assigned_worker = worker_id;
-        return true;
-      },
-      request.task_id, assign::UnknownAdmitFilter{});
-  outcome.task_location_disclosures += o.disclosures;
+  ContactBestFirst(scored, requester, request, workers, outcome);
   return outcome;
 }
 
@@ -148,9 +120,12 @@ VariantOutcome RunU2eVariant(U2eVariant variant,
                              const reachability::ReachabilityModel& model,
                              double beta, stats::Rng& rng) {
   switch (variant) {
-    case U2eVariant::kSequential:
-      return RunSequential(requester, request, candidates, workers, model,
-                           beta);
+    case U2eVariant::kSequential: {
+      VariantOutcome outcome;
+      ContactBestFirst(requester.RankCandidates(candidates, model, beta),
+                       requester, request, workers, outcome);
+      return outcome;
+    }
     case U2eVariant::kParallelBroadcast:
       return RunParallelBroadcast(requester, request, candidates, workers,
                                   model, beta);

@@ -1,13 +1,11 @@
 #include "sim/dynamic.h"
 
 #include <algorithm>
-#include <memory>
 #include <cmath>
-#include <utility>
+#include <memory>
 
-#include "assign/stages/candidate_stage.h"
-#include "assign/stages/contact_stage.h"
-#include "assign/stages/rank_stage.h"
+#include "assign/pipeline.h"
+#include "assign/scguard_engine.h"
 #include "common/check.h"
 #include "data/beijing.h"
 #include "data/trip_model.h"
@@ -71,42 +69,40 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
   }
   const reachability::ReachabilityModel& model = *model_owner;
 
-  // Worker state.
-  struct DynamicWorker {
-    geo::Point location;
-    geo::Point reported;
-    double reach = 0;
-    double spent_epsilon = 0;
-  };
-  std::vector<DynamicWorker> workers(static_cast<size_t>(config.num_workers));
-  for (auto& w : workers) {
-    w.location = demand.Sample(rng);
-    w.reach = rng.UniformDouble(config.reach_min_m, config.reach_max_m);
+  // Worker state: exact location (moves), reported location, reach. The
+  // pipeline borrows this array as its E2E ground truth; ids are indices.
+  std::vector<assign::Worker> workers(static_cast<size_t>(config.num_workers));
+  for (size_t i = 0; i < workers.size(); ++i) {
+    workers[i].id = static_cast<int64_t>(i);
+    workers[i].location = demand.Sample(rng);
+    workers[i].reach_radius_m =
+        rng.UniformDouble(config.reach_min_m, config.reach_max_m);
   }
 
-  // The shared protocol stages (DESIGN.md section 10); run-local, like the
-  // rest of the simulation state. Reach radii never change across rounds,
-  // so the U2U stage's inverted alpha filter (threshold prewarm at first
-  // Collect) stays valid for the whole run: per-round location refreshes
-  // re-point the noisy coordinates via UpdateWorkerLocation, and round
-  // boundaries only reset availability — the critical-distance inversion
-  // is never recomputed.
-  assign::U2uCandidateStage::Config u2u_config;
-  u2u_config.model = &model;
-  u2u_config.alpha = config.alpha;
-  assign::U2uCandidateStage u2u(std::move(u2u_config));
-  u2u.ReserveWorkers(workers.size());
-  for (const auto& w : workers) {
-    // Placeholder coordinates: every strategy refreshes the report in
-    // round 0 before the first Collect.
-    u2u.AddWorker(w.location, w.reach);
-  }
-  assign::U2eRankStage u2e(
-      {.model = &model, .rank = assign::RankStrategy::kProbability,
-       .kernel = {}, .audit_epsilon = per_report.epsilon});
-  const assign::E2eContactStage contact(
-      {.rank = assign::RankStrategy::kProbability, .beta = config.beta,
-       .beta_mode = assign::BetaMode::kEveryContact, .redundancy_k = 1});
+  // The shared per-task protocol body (DESIGN.md section 16), run-local
+  // like the rest of the simulation state. Reach radii never change across
+  // rounds, so the U2U stage's inverted alpha filter stays valid for the
+  // whole run: each round relocates every worker to its current report and
+  // makes it available again.
+  assign::EnginePolicy policy;
+  policy.u2u_model = &model;
+  policy.u2e_model = &model;
+  policy.alpha = config.alpha;
+  policy.beta = config.beta;
+  policy.beta_mode = assign::BetaMode::kEveryContact;
+  policy.rank = assign::RankStrategy::kProbability;
+  policy.compute_accuracy_metrics = false;
+  policy.worker_params = per_report;
+  policy.task_params = config.joint;
+  assign::TaskPipeline pipeline(policy, region, workers);
+  // Probability ranking never reads the random ranks; drawing them from a
+  // stream of their own leaves the simulation's stream untouched.
+  stats::Rng rank_rng(config.seed);
+  // Placeholder coordinates: every strategy reports in round 0 before the
+  // first task.
+  pipeline.AddWorkers(rank_rng);
+  pipeline.Prepare();
+  const assign::RunMetrics& totals = pipeline.result().metrics;
 
   // Task perturbation runs at the joint level every time (tasks are
   // one-shot); the mechanism itself is deterministic state, built once
@@ -115,7 +111,9 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
       privacy::MakeMechanismOrDie(config.joint, region);
 
   std::vector<DynamicRoundMetrics> results;
-  std::vector<std::pair<double, size_t>> ranked;  // Reused across tasks.
+  // Every worker reports in the same rounds, so one tally is each worker's
+  // composed epsilon.
+  double spent_epsilon = 0;
   for (int round = 0; round < config.rounds; ++round) {
     // Movement (not in round 0: workers register where they are).
     if (round > 0) {
@@ -128,22 +126,24 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
       }
     }
 
-    // Reporting.
+    // Reporting; every worker is available again at the round boundary.
+    const bool refresh =
+        round == 0 || strategy != ReportingStrategy::kReportOnce;
+    if (refresh) spent_epsilon += per_report.epsilon;
     for (size_t i = 0; i < workers.size(); ++i) {
-      auto& w = workers[i];
-      const bool refresh = round == 0 || strategy != ReportingStrategy::kReportOnce;
+      assign::Worker& w = workers[i];
       if (refresh) {
-        w.reported = report_mechanism->Perturb(w.location, rng);
-        w.spent_epsilon += per_report.epsilon;
-        u2u.UpdateWorkerLocation(static_cast<uint32_t>(i), w.reported);
+        w.noisy_location = report_mechanism->Perturb(w.location, rng);
       }
+      pipeline.Relocate(static_cast<uint32_t>(i), w.noisy_location,
+                        /*reactivate=*/true);
     }
 
-    // One round of online assignment over fresh tasks; every worker is
-    // available again at the round boundary.
-    u2u.ResetAvailability();
+    // One round of online assignment over fresh tasks.
     DynamicRoundMetrics metrics;
     metrics.round = round;
+    const int64_t assigned_before = totals.assigned_tasks;
+    const int64_t false_hits_before = totals.false_hits;
     double travel_sum = 0;
     const obs::Span round_span("sim.dynamic_round");
     for (int t = 0; t < config.tasks_per_round; ++t) {
@@ -154,34 +154,29 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
       const geo::Point task = demand.Sample(rng);
       const geo::Point task_noisy = task_mechanism->Perturb(task, rng);
       // U2U over reported locations, U2E against the exact task location.
-      const std::vector<uint32_t>& candidates = u2u.Collect(task_noisy);
-      u2e.Rank(u2u.soa(), candidates, task, /*random_rank=*/nullptr, ranked,
-               task_id);
-      const auto outcome = contact.Contact(
-          ranked,
-          [&](size_t i) {
-            const double d_true = geo::Distance(workers[i].location, task);
-            if (d_true > workers[i].reach) return false;
-            u2u.MarkMatched(static_cast<uint32_t>(i));
-            workers[i].location = task;  // Completes the task, ends up there.
-            metrics.assigned += 1;
-            travel_sum += d_true;
-            return true;
-          },
-          task_id, assign::UnknownAdmitFilter{});
-      metrics.false_hits += static_cast<double>(outcome.false_hits);
+      const assign::TaskOutcome outcome =
+          pipeline.RunTask(task_id, task, task_noisy);
+      if (outcome.worker_id >= 0) {
+        // Completes the task, ends up there.
+        workers[static_cast<size_t>(outcome.worker_id)].location = task;
+        travel_sum += outcome.travel_m;
+      }
     }
+    metrics.assigned =
+        static_cast<double>(totals.assigned_tasks - assigned_before);
+    metrics.false_hits =
+        static_cast<double>(totals.false_hits - false_hits_before);
     metrics.travel_m = metrics.assigned > 0 ? travel_sum / metrics.assigned : 0;
 
-    double eps_max = 0, error_sum = 0;
+    double error_sum = 0;
     for (const auto& w : workers) {
-      eps_max = std::max(eps_max, w.spent_epsilon);
-      error_sum += geo::Distance(w.location, w.reported);
+      error_sum += geo::Distance(w.location, w.noisy_location);
     }
-    metrics.effective_epsilon = eps_max;
+    metrics.effective_epsilon = spent_epsilon;
     metrics.report_error_m = error_sum / static_cast<double>(workers.size());
     results.push_back(metrics);
   }
+  pipeline.Flush();
   return results;
 }
 

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "assign/algorithms.h"
-#include "assign/ground_truth.h"
 #include "assign/scguard_engine.h"
 #include "data/workload.h"
 #include "reachability/analytical_model.h"
@@ -78,7 +77,7 @@ TEST(GroundTruthTest, NearestNeighborPicksClosest) {
   Workload w;
   w.workers = {MakeWorker(0, 0, 0, 5000), MakeWorker(1, 900, 0, 5000)};
   w.tasks = {MakeTask(0, 1000, 0)};
-  GroundTruthMatcher matcher(RankStrategy::kNearest);
+  MatcherHandle matcher = MakeGroundTruth(RankStrategy::kNearest);
   stats::Rng rng(1);
   const MatchResult result = matcher.Run(w, rng);
   ASSERT_EQ(result.assignments.size(), 1u);
@@ -88,7 +87,7 @@ TEST(GroundTruthTest, NearestNeighborPicksClosest) {
 
 TEST(GroundTruthTest, AssignsAllWhenPossible) {
   const Workload w = FigureOneWorkload();
-  GroundTruthMatcher matcher(RankStrategy::kNearest);
+  MatcherHandle matcher = MakeGroundTruth(RankStrategy::kNearest);
   stats::Rng rng(2);
   const MatchResult result = matcher.Run(w, rng);
   // NN matches t1->w2, t2->w3, t3->w1: the optimum.
@@ -100,7 +99,7 @@ TEST(GroundTruthTest, UnreachableTaskStaysUnassigned) {
   Workload w;
   w.workers = {MakeWorker(0, 0, 0, 100)};
   w.tasks = {MakeTask(0, 10000, 10000)};
-  GroundTruthMatcher matcher(RankStrategy::kRandom);
+  MatcherHandle matcher = MakeGroundTruth(RankStrategy::kRandom);
   stats::Rng rng(3);
   const MatchResult result = matcher.Run(w, rng);
   EXPECT_EQ(result.metrics.assigned_tasks, 0);
@@ -109,7 +108,7 @@ TEST(GroundTruthTest, UnreachableTaskStaysUnassigned) {
 
 TEST(GroundTruthTest, MetricsArePerfectOnExactData) {
   const Workload w = FigureOneWorkload();
-  GroundTruthMatcher matcher(RankStrategy::kNearest);
+  MatcherHandle matcher = MakeGroundTruth(RankStrategy::kNearest);
   stats::Rng rng(4);
   const MatchResult result = matcher.Run(w, rng);
   EXPECT_EQ(result.metrics.false_hits, 0);
@@ -128,7 +127,7 @@ TEST(GroundTruthTest, RankingIsMaximal) {
   config.num_tasks = 60;
   stats::Rng rng(5);
   const Workload w = data::MakeUniformWorkload(region, config, rng);
-  GroundTruthMatcher matcher(RankStrategy::kRandom);
+  MatcherHandle matcher = MakeGroundTruth(RankStrategy::kRandom);
   const MatchResult result = matcher.Run(w, rng);
   std::set<int64_t> matched_workers;
   std::set<int64_t> assigned_tasks;
@@ -159,7 +158,7 @@ TEST(EngineTest, ZeroNoiseObliviousMatchesGroundTruthCount) {
   MatcherHandle oblivious = MakeOblivious(RankStrategy::kNearest, params);
   stats::Rng rng_a(6), rng_b(6);
   const MatchResult private_result = oblivious.Run(w, rng_a);
-  GroundTruthMatcher exact(RankStrategy::kNearest);
+  MatcherHandle exact = MakeGroundTruth(RankStrategy::kNearest);
   const MatchResult exact_result = exact.Run(w, rng_b);
   EXPECT_EQ(private_result.metrics.assigned_tasks,
             exact_result.metrics.assigned_tasks);

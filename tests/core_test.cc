@@ -42,9 +42,9 @@ TEST(RequesterDeviceTest, RankingOrdersByReachability) {
   };
   const auto plan = requester.RankCandidates(candidates, model, /*beta=*/0.0);
   ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0].worker_id, 1);
-  EXPECT_EQ(plan[1].worker_id, 2);
-  EXPECT_EQ(plan[2].worker_id, 0);
+  EXPECT_EQ(plan[0].second, 1);
+  EXPECT_EQ(plan[1].second, 2);
+  EXPECT_EQ(plan[2].second, 0);
 }
 
 TEST(RequesterDeviceTest, BetaFiltersLowProbabilityCandidates) {
@@ -56,7 +56,7 @@ TEST(RequesterDeviceTest, BetaFiltersLowProbabilityCandidates) {
   };
   const auto plan = requester.RankCandidates(candidates, model, /*beta=*/0.3);
   ASSERT_EQ(plan.size(), 1u);
-  EXPECT_EQ(plan[0].worker_id, 0);
+  EXPECT_EQ(plan[0].second, 0);
 }
 
 TEST(TaskingServerTest, CandidatesRespectAlphaAndAvailability) {

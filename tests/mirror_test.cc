@@ -330,7 +330,7 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
 
 // Stage-level churn: the pruned stage and the oracle's naive U2U loop,
 // driven through the same AddWorker / Collect / MarkMatched /
-// UpdateWorkerLocation / ResetAvailability sequence, must emit identical
+// UpdateWorkerLocation / MarkAvailable sequence, must emit identical
 // candidate lists and scan accounting throughout — including for
 // registrations with non-finite locations, which both must reject.
 TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
@@ -411,7 +411,7 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
       on.UpdateWorkerLocation(mover, locs[mover]);
     }
     if (step == 40) {
-      on.ResetAvailability();
+      for (size_t i = 0; i < n; ++i) on.MarkAvailable(static_cast<uint32_t>(i));
       std::fill(matched.begin(), matched.end(), uint8_t{0});
     }
   }

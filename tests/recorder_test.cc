@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "assign/scguard_engine.h"
+#include "core/protocol.h"
 #include "data/beijing.h"
 #include "data/workload.h"
 #include "obs/export.h"
@@ -284,6 +285,36 @@ TEST_F(RecorderTest, AuditTrailReconcilesWithEngineMetrics) {
   EXPECT_NE(jsonl.find("\"e2e_disclosures\":" +
                        std::to_string(totals.e2e_disclosures)),
             std::string::npos);
+}
+
+// The protocol parties disclose through the same contact walk as the
+// engine, so each audited disclosure carries the U2E score that justified
+// it: one event per counted disclosure, every score at or above beta.
+TEST_F(RecorderTest, PartyDisclosuresCarryTheirU2eScore) {
+  const privacy::PrivacyParams privacy_level{0.7, 800.0};
+  constexpr double kBeta = 0.25;
+  const reachability::AnalyticalModel model(privacy_level);
+  const assign::Workload workload = SmallWorkload(privacy_level);
+  core::TaskingServer server(&model, /*alpha=*/0.1);
+  std::vector<core::WorkerDevice> devices;
+  for (const assign::Worker& w : workload.workers) {
+    devices.emplace_back(w.id, w.location, w.reach_radius_m, privacy_level);
+    server.RegisterWorker({w.id, w.noisy_location, w.reach_radius_m});
+  }
+  core::ProtocolCoordinator coordinator(&server, &model, kBeta);
+  for (const assign::Task& t : workload.tasks) {
+    const core::RequesterDevice requester(t.id, t.location, privacy_level);
+    coordinator.AssignTask(requester, {t.id, t.noisy_location}, devices);
+  }
+
+  int64_t disclosures = 0;
+  for (const TraceEvent& e : FlightRecorder::Global().Drain()) {
+    if (e.type != static_cast<uint8_t>(EventType::kAuditDisclosure)) continue;
+    ++disclosures;
+    EXPECT_GE(e.value, kBeta) << "task " << e.arg0 << " worker " << e.arg1;
+  }
+  EXPECT_GT(disclosures, 0);
+  EXPECT_EQ(disclosures, coordinator.trace().task_location_disclosures);
 }
 
 // Full-audit mode adds one line per ranked candidate; the aggregate and

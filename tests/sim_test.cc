@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/defaults.h"
 #include "sim/dynamic.h"
@@ -211,6 +213,57 @@ TEST(DynamicWorkersTest, LocationSetSplitHonorsJointBudget) {
   // The split noise is far larger than a full-budget report's.
   const auto naive = RunDynamicWorkers(config, ReportingStrategy::kNaiveRefresh);
   EXPECT_GT(rounds.front().report_error_m, 2.0 * naive.front().report_error_m);
+}
+
+// Every DynamicRoundMetrics field of TinyDynamic(), pinned bit for bit
+// (hexfloat) for each reporting strategy: the simulator's output, RNG
+// stream included, must not move when its per-task body does.
+TEST(DynamicWorkersTest, PinnedRoundMetrics) {
+  struct Expected {
+    ReportingStrategy strategy;
+    std::vector<DynamicRoundMetrics> rounds;
+  };
+  const std::vector<Expected> expected = {
+      {ReportingStrategy::kReportOnce,
+       {{0, 0x1.1p+4, 0x1.7e8ad9d9a3ac8p+10, 0x1.6p+3, 0x1.6666666666666p-1,
+         0x1.35751c0cfc277p+11},
+        {1, 0x1.8p+3, 0x1.be85ae56b1a7cp+10, 0x1.ap+3, 0x1.6666666666666p-1,
+         0x1.4cffabc9e73b9p+11},
+        {2, 0x1.6p+3, 0x1.b687461755826p+10, 0x1.4p+4, 0x1.6666666666666p-1,
+         0x1.7b6d3740844fap+11},
+        {3, 0x1.2p+3, 0x1.ac15024350cdap+10, 0x1.cp+3, 0x1.6666666666666p-1,
+         0x1.9d72294ac1adbp+11}}},
+      {ReportingStrategy::kNaiveRefresh,
+       {{0, 0x1.1p+4, 0x1.7e8ad9d9a3ac8p+10, 0x1.6p+3, 0x1.6666666666666p-1,
+         0x1.35751c0cfc277p+11},
+        {1, 0x1.ep+3, 0x1.905921130a422p+10, 0x1.ap+3, 0x1.6666666666666p+0,
+         0x1.19cac6222709bp+11},
+        {2, 0x1.8p+3, 0x1.88ef54edc25bcp+10, 0x1.6p+3, 0x1.0ccccccccccccp+1,
+         0x1.2b36078034362p+11},
+        {3, 0x1.ap+3, 0x1.c5cf0459c166p+10, 0x1.cp+3, 0x1.6666666666666p+1,
+         0x1.35b57f00e1acep+11}}},
+      {ReportingStrategy::kLocationSetSplit,
+       {{0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.6666666666666p-3, 0x1.34ae038627b2p+13},
+        {1, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.6666666666666p-2,
+         0x1.1efde960ed9a6p+13},
+        {2, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.0ccccccccccccp-1, 0x1.28a88092e474p+13},
+        {3, 0x0p+0, 0x0p+0, 0x0p+0, 0x1.6666666666666p-1,
+         0x1.2ffe4131877aep+13}}},
+  };
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(std::string(ReportingStrategyName(e.strategy)));
+    const auto rounds = RunDynamicWorkers(TinyDynamic(), e.strategy);
+    ASSERT_EQ(rounds.size(), e.rounds.size());
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      EXPECT_EQ(rounds[i].round, e.rounds[i].round);
+      EXPECT_EQ(rounds[i].assigned, e.rounds[i].assigned) << i;
+      EXPECT_EQ(rounds[i].travel_m, e.rounds[i].travel_m) << i;
+      EXPECT_EQ(rounds[i].false_hits, e.rounds[i].false_hits) << i;
+      EXPECT_EQ(rounds[i].effective_epsilon, e.rounds[i].effective_epsilon)
+          << i;
+      EXPECT_EQ(rounds[i].report_error_m, e.rounds[i].report_error_m) << i;
+    }
+  }
 }
 
 TEST(DefaultsTest, PaperParameterGrid) {

@@ -1,27 +1,26 @@
 // Cross-implementation equivalence of the stage library (DESIGN.md section
-// 10): the same perturbed workload driven through (a) assign::ScGuardEngine,
-// (b) the core protocol parties (TaskingServer / RequesterDevice /
-// ProtocolCoordinator), and (c) a hand-rolled sim/dynamic-style driver that
-// calls the three stages directly must produce identical assignment sets
-// and disclosure counts. Swept over three reachability models and the
-// pruning index on/off; the core parties have no pruning path, so pruned
-// combinations compare (a) against (c) only.
+// 10): the same perturbed workload driven through assign::ScGuardEngine and
+// through the core protocol parties (TaskingServer / RequesterDevice /
+// ProtocolCoordinator) must produce identical assignment sets and
+// disclosure counts, over three reachability models. The core parties have
+// no pruning path, so the pruned engine is diffed against the naive test
+// oracle (tests/oracle.h) instead.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "assign/scguard_engine.h"
-#include "assign/stages/candidate_stage.h"
 #include "assign/stages/contact_stage.h"
-#include "assign/stages/rank_stage.h"
 #include "core/protocol.h"
 #include "data/workload.h"
+#include "oracle.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
@@ -53,10 +52,8 @@ assign::Workload MakeWorkload() {
   return workload;
 }
 
-// (a) The batch engine.
-PipelineResult RunEngine(const assign::Workload& workload,
-                         const reachability::ReachabilityModel* model,
-                         bool pruner_on) {
+assign::EnginePolicy Policy(const reachability::ReachabilityModel* model,
+                           bool pruner_on) {
   assign::EnginePolicy policy;
   policy.u2u_model = model;
   policy.u2e_model = model;
@@ -66,7 +63,14 @@ PipelineResult RunEngine(const assign::Workload& workload,
   policy.worker_params = kParams;
   policy.task_params = kParams;
   if (pruner_on) policy.pruning_gamma = kGamma;
-  assign::ScGuardEngine engine(policy);
+  return policy;
+}
+
+// The batch engine.
+PipelineResult RunEngine(const assign::Workload& workload,
+                         const reachability::ReachabilityModel* model,
+                         bool pruner_on) {
+  assign::ScGuardEngine engine(Policy(model, pruner_on));
   stats::Rng rng(8);
   const assign::MatchResult result = engine.Run(workload, rng);
   PipelineResult out;
@@ -77,7 +81,7 @@ PipelineResult RunEngine(const assign::Workload& workload,
   return out;
 }
 
-// (b) The message-level protocol parties.
+// The message-level protocol parties.
 PipelineResult RunParties(const assign::Workload& workload,
                           const reachability::ReachabilityModel* model) {
   core::TaskingServer server(model, kAlpha);
@@ -97,48 +101,6 @@ PipelineResult RunParties(const assign::Workload& workload,
     if (outcome.assigned_worker.has_value()) {
       out.pairs.insert({t.id, *outcome.assigned_worker});
     }
-  }
-  return out;
-}
-
-// (c) A dynamic-simulator-style driver over the raw stages.
-PipelineResult RunStageDriver(const assign::Workload& workload,
-                              const reachability::ReachabilityModel* model,
-                              bool pruner_on) {
-  assign::U2uCandidateStage::Config u2u_config;
-  u2u_config.model = model;
-  u2u_config.alpha = kAlpha;
-  if (pruner_on) {
-    u2u_config.pruning = assign::U2uCandidateStage::Pruning{
-        kGamma, index::PrunerBackend::kGrid, kParams, kParams,
-        workload.region};
-  }
-  assign::U2uCandidateStage u2u(std::move(u2u_config));
-  u2u.ReserveWorkers(workload.workers.size());
-  for (const auto& w : workload.workers) {
-    u2u.AddWorker(w.noisy_location, w.reach_radius_m);
-  }
-  assign::U2eRankStage u2e(
-      {.model = model, .rank = assign::RankStrategy::kProbability,
-       .kernel = {}});
-  const assign::E2eContactStage contact(
-      {.rank = assign::RankStrategy::kProbability, .beta = kBeta,
-       .beta_mode = assign::BetaMode::kEveryContact, .redundancy_k = 1});
-
-  PipelineResult out;
-  std::vector<std::pair<double, size_t>> ranked;
-  for (const auto& t : workload.tasks) {
-    const std::vector<uint32_t>& candidates = u2u.Collect(t.noisy_location);
-    u2e.Rank(u2u.soa(), candidates, t.location, /*random_rank=*/nullptr,
-             ranked);
-    const auto outcome = contact.Contact(ranked, [&](size_t i) {
-      const assign::Worker& w = workload.workers[i];
-      if (!w.CanReach(t.location)) return false;
-      u2u.MarkMatched(static_cast<uint32_t>(i));
-      out.pairs.insert({t.id, w.id});
-      return true;
-    });
-    out.disclosures += outcome.disclosures;
   }
   return out;
 }
@@ -182,34 +144,29 @@ const reachability::AnalyticalModel* StageEquivalenceTest::analytical_ =
     nullptr;
 const reachability::EmpiricalModel* StageEquivalenceTest::empirical_ = nullptr;
 
-TEST_F(StageEquivalenceTest, EngineMatchesPartiesAndDriver) {
+TEST_F(StageEquivalenceTest, EngineMatchesParties) {
   for (const auto* model : Models()) {
     SCOPED_TRACE(std::string(model->name()));
     const PipelineResult engine =
         RunEngine(*workload_, model, /*pruner_on=*/false);
     const PipelineResult parties = RunParties(*workload_, model);
-    const PipelineResult driver =
-        RunStageDriver(*workload_, model, /*pruner_on=*/false);
     EXPECT_EQ(engine.pairs, parties.pairs);
     EXPECT_EQ(engine.disclosures, parties.disclosures);
-    EXPECT_EQ(engine.pairs, driver.pairs);
-    EXPECT_EQ(engine.disclosures, driver.disclosures);
     EXPECT_FALSE(engine.pairs.empty());
   }
 }
 
 // The pruning index is an engine/stage facility with no party-level
-// counterpart, so pruned runs compare the two stage-built pipelines.
-TEST_F(StageEquivalenceTest, PrunedEngineMatchesDriver) {
+// counterpart, so pruned runs are diffed against the naive oracle: same
+// assignments, metrics, RNG stream and audit counts.
+TEST_F(StageEquivalenceTest, PrunedEngineMatchesOracle) {
   for (const auto* model : Models()) {
-    SCOPED_TRACE(std::string(model->name()));
-    const PipelineResult engine =
-        RunEngine(*workload_, model, /*pruner_on=*/true);
-    const PipelineResult driver =
-        RunStageDriver(*workload_, model, /*pruner_on=*/true);
-    EXPECT_EQ(engine.pairs, driver.pairs);
-    EXPECT_EQ(engine.disclosures, driver.disclosures);
-    EXPECT_FALSE(engine.pairs.empty());
+    const std::string label(model->name());
+    const assign::EnginePolicy policy = Policy(model, /*pruner_on=*/true);
+    const oracle::Expected want = oracle::Expect(policy, *workload_, 8);
+    const assign::MatchResult engine =
+        oracle::ExpectEngineMatches(want, policy, *workload_, 8, label);
+    EXPECT_FALSE(engine.assignments.empty()) << label;
   }
 }
 

@@ -263,11 +263,13 @@ class JsonSeriesWriter {
           << ",\"u2u_seconds\":" << p.m.u2u_seconds
           << ",\"u2e_seconds\":" << p.m.u2e_seconds
           << ",\"e2e_seconds\":" << p.m.e2e_seconds
+          << ",\"accuracy_seconds\":" << p.m.accuracy_seconds
           << ",\"total_seconds\":" << p.m.total_seconds
           // Wall clock no stage timer covers (loop overhead, bookkeeping).
           << ",\"unattributed_seconds\":"
-          << p.m.total_seconds - (p.m.setup_seconds + p.m.u2u_seconds +
-                                  p.m.u2e_seconds + p.m.e2e_seconds)
+          << p.m.total_seconds -
+                 (p.m.setup_seconds + p.m.u2u_seconds + p.m.u2e_seconds +
+                  p.m.e2e_seconds + p.m.accuracy_seconds)
           << ",\"u2u_scanned\":" << p.m.u2u_scanned
           << ",\"u2u_scanned_first_task\":" << p.m.u2u_scanned_first_task
           << ",\"u2u_scanned_last_task\":" << p.m.u2u_scanned_last_task

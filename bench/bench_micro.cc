@@ -359,21 +359,16 @@ void BM_U2UFilterThreshold(benchmark::State& state) {
 }
 BENCHMARK(BM_U2UFilterThreshold)->Arg(5000);
 
-// ---- Cell-row kernels (DESIGN.md section 13) -------------------------
-// The same certain-band trichotomy over the same workers, as a scattered
-// gather (indices into a large SoA, one cache line per worker) vs the
-// pruned path's contiguous range (the grid's cell-major rows, packed
-// column loads). Items/s = worker decisions; the gap is pure memory
-// traffic, since both arms take bit-identical decisions.
+// ---- Cell-row kernel (DESIGN.md section 13) --------------------------
+// The certain-band trichotomy over contiguous cell rows (the grid's
+// cell-major store, packed column loads). Items/s = worker decisions.
 
 struct RangeFixture {
-  reachability::WorkerFilterSoA soa;  // Large id-major pool.
-  std::vector<uint32_t> indices;      // Sorted ~10% sample of the pool.
-  reachability::CellRows rows;        // The sampled workers, contiguous.
+  reachability::CellRows rows;
   std::vector<geo::Point> tasks;
 };
 
-RangeFixture MakeRangeFixture(size_t pool, size_t sample_every) {
+RangeFixture MakeRangeFixture(size_t n) {
   RangeFixture f;
   stats::Rng rng(13);
   const geo::BoundingBox region = data::BeijingRegion();
@@ -381,29 +376,16 @@ RangeFixture MakeRangeFixture(size_t pool, size_t sample_every) {
   const reachability::AnalyticalModel model(kParams);
   reachability::AlphaThresholdCache cache(&model, reachability::Stage::kU2U,
                                           0.1);
-  f.soa.Resize(pool);
-  f.soa.accept_below_sq.resize(pool);
-  f.soa.reject_above_sq.resize(pool);
-  for (size_t i = 0; i < pool; ++i) {
-    f.soa.x[i] = rng.UniformDouble(region.min_x, region.max_x);
-    f.soa.y[i] = rng.UniformDouble(region.min_y, region.max_y);
-    f.soa.reach_radius_m[i] = radii[i % 4];
-    const reachability::AlphaThreshold& t = cache.For(f.soa.reach_radius_m[i]);
-    f.soa.accept_below_sq[i] = t.accept_below_sq;
-    f.soa.reject_above_sq[i] = t.reject_above_sq;
-  }
-  for (size_t i = 0; i < pool; i += sample_every) {
-    f.indices.push_back(static_cast<uint32_t>(i));
-  }
-  f.rows.Resize(f.indices.size());
-  for (size_t k = 0; k < f.indices.size(); ++k) {
-    const uint32_t i = f.indices[k];
-    f.rows.id[k] = i;
-    f.rows.x[k] = f.soa.x[i];
-    f.rows.y[k] = f.soa.y[i];
-    f.rows.expanded_r[k] = f.soa.reach_radius_m[i];
-    f.rows.accept_below_sq[k] = f.soa.accept_below_sq[i];
-    f.rows.reject_above_sq[k] = f.soa.reject_above_sq[i];
+  f.rows.Resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double radius = radii[i % 4];
+    const reachability::AlphaThreshold& t = cache.For(radius);
+    f.rows.id[i] = static_cast<uint32_t>(i);
+    f.rows.x[i] = rng.UniformDouble(region.min_x, region.max_x);
+    f.rows.y[i] = rng.UniformDouble(region.min_y, region.max_y);
+    f.rows.expanded_r[i] = radius;
+    f.rows.accept_below_sq[i] = t.accept_below_sq;
+    f.rows.reject_above_sq[i] = t.reject_above_sq;
   }
   for (int t = 0; t < 64; ++t) {
     f.tasks.push_back({rng.UniformDouble(region.min_x, region.max_x),
@@ -412,28 +394,8 @@ RangeFixture MakeRangeFixture(size_t pool, size_t sample_every) {
   return f;
 }
 
-void BM_ClassifyGather(benchmark::State& state) {
-  const RangeFixture f =
-      MakeRangeFixture(static_cast<size_t>(state.range(0)), 10);
-  std::vector<uint32_t> accept, band;
-  size_t t = 0;
-  for (auto _ : state) {
-    const geo::Point task = f.tasks[t++ % f.tasks.size()];
-    accept.clear();
-    band.clear();
-    reachability::ClassifyCertainBand(f.soa, f.indices.data(),
-                                      f.indices.size(), task.x, task.y,
-                                      accept, band);
-    benchmark::DoNotOptimize(accept.size() + band.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.indices.size()));
-}
-BENCHMARK(BM_ClassifyGather)->Arg(200000);
-
 void BM_ClassifyRange(benchmark::State& state) {
-  const RangeFixture f =
-      MakeRangeFixture(static_cast<size_t>(state.range(0)), 10);
+  const RangeFixture f = MakeRangeFixture(static_cast<size_t>(state.range(0)));
   std::vector<uint32_t> accept, band;
   size_t t = 0;
   for (auto _ : state) {
@@ -447,7 +409,7 @@ void BM_ClassifyRange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.rows.size()));
 }
-BENCHMARK(BM_ClassifyRange)->Arg(200000);
+BENCHMARK(BM_ClassifyRange)->Arg(20000);
 
 // ProbReachableBatch per model over a dense SoA slab.
 void BM_ProbReachableBatch(benchmark::State& state) {

@@ -3,7 +3,8 @@
 // server-stage U2U scan at production sizes — up to a million workers —
 // instead of the paper's 500. Emits BENCH_scale.json; the `u2u_seconds`
 // field carries the thread-scaling curve and the `u2u_scanned_first_task` /
-// `u2u_scanned_last_task` pair shows the active-set compaction decay.
+// `u2u_scanned_last_task` pair shows the scan work decaying as matched
+// workers leave the grid.
 //
 // Knobs (all optional):
 //   SCGUARD_SCALE_WORKERS   comma list, default "10000,100000,1000000"
@@ -11,8 +12,8 @@
 //   SCGUARD_SCALE_TASKS     tasks per run, default 512
 //
 // Determinism contract: every cell of one worker count sees the same
-// workload and a fresh identically-seeded Rng, and the engine's sharded
-// scan is thread-count invariant (tests/engine_parallel_test.cc), so the
+// workload and a fresh identically-seeded Rng, and the engine's U2U grid
+// walk is thread-count invariant (tests/engine_parallel_test.cc), so the
 // assigned/travel columns must agree exactly across every row of a size —
 // only the timing columns may differ.
 
@@ -170,7 +171,7 @@ int Main() {
   }
   std::printf(
       "\nwrote BENCH_scale.json (u2u_seconds = thread-scaling curve;\n"
-      "scan_last < scan_first = active-set compaction at work)\n");
+      "scan_last < scan_first = matched workers left the scan)\n");
 
   if (obs::RecorderEnabled()) {
     const obs::AuditTotals audit = WriteFlightArtifacts("scale");

@@ -41,7 +41,7 @@ struct AlgorithmParams {
       reachability::AnalyticalMode::kPaperNormalApprox;
   /// Evaluation-kernel knobs, forwarded to EnginePolicy::kernel.
   reachability::KernelOptions kernel;
-  /// Parallel-scan knobs, forwarded to EnginePolicy::runtime.
+  /// Parallelism knobs, forwarded to EnginePolicy::runtime.
   EngineRuntime runtime;
 };
 

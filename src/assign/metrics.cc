@@ -21,6 +21,7 @@ void RunMetrics::Accumulate(const RunMetrics& other) {
   u2u_seconds += other.u2u_seconds;
   u2e_seconds += other.u2e_seconds;
   e2e_seconds += other.e2e_seconds;
+  accuracy_seconds += other.accuracy_seconds;
   total_seconds += other.total_seconds;
   u2u_scanned += other.u2u_scanned;
   cells_bulk_accepted += other.cells_bulk_accepted;

@@ -47,7 +47,7 @@ struct RunMetrics {
   int64_t requester_to_worker_msgs = 0;  ///< Task-location disclosures.
 
   /// Wall-clock of stage setup: worker registration plus the U2U stage's
-  /// Prepare (threshold prewarm, pruning grid, shard lists). In
+  /// Prepare (threshold prewarm, the grid index). In
   /// ScGuardEngine::Run that is AddWorkers + Prepare; in the service, the
   /// registrations plus Start's (or Replay's) Prepare.
   double setup_seconds = 0.0;
@@ -57,20 +57,25 @@ struct RunMetrics {
   double u2e_seconds = 0.0;
   /// Wall-clock spent in the E2E contact stage.
   double e2e_seconds = 0.0;
+  /// Wall-clock of the observer-only U2U accuracy scan (precision/recall
+  /// against ground truth, EnginePolicy::compute_accuracy_metrics). No
+  /// protocol party runs it; it gets its own bucket so a run's stage
+  /// timers still cover its wall clock.
+  double accuracy_seconds = 0.0;
   /// Wall-clock of the whole run.
   double total_seconds = 0.0;
 
-  /// Workers actually scored by the U2U filter, summed over tasks. With
-  /// active-set compaction this shrinks as workers get matched; the
+  /// Workers actually scored by the U2U filter, summed over tasks. Matched
+  /// workers leave the grid, so this shrinks as the run assigns; the
   /// first/last-task pair exposes the decay (scale bench, DESIGN.md §9).
   /// First/last are per-run snapshots, not accumulated across seeds.
   int64_t u2u_scanned = 0;
   int64_t u2u_scanned_first_task = 0;
   int64_t u2u_scanned_last_task = 0;
 
-  /// Cell-certification work of a grid-backed pruning index, summed over
-  /// the run's queries (DESIGN.md §11): cells whose whole id array was
-  /// bulk-appended, non-empty cells skipped without touching entries, and
+  /// Rectangle-certification work of the pruning grid, summed over the
+  /// run's queries (DESIGN.md §11): cells whose every member the query box
+  /// admitted, non-empty cells skipped without touching entries, and
   /// workers that fell through to the per-member rectangle test. All zero
   /// without pruning; together they explain *why* pruning won or lost, not
   /// just that it did.
@@ -79,13 +84,12 @@ struct RunMetrics {
   int64_t boundary_workers = 0;
 
   /// Modeled scoring-side memory traffic of the U2U scan, bytes summed over
-  /// the run (DESIGN.md §13 / EXPERIMENTS.md): packed streams for brute
-  /// scans and for the grid's row slices, id runs only for
-  /// certificate-direct cells. A traffic model — comparable across
+  /// the run (DESIGN.md §13 / EXPERIMENTS.md): packed streams for the
+  /// grid's row slices, id runs only for certificate-direct cells. A traffic model — comparable across
   /// configurations, not a hardware counter.
   int64_t u2u_gather_bytes = 0;
-  /// Cells the pruned scan resolved purely by a whole-cell alpha
-  /// certificate, with zero per-worker loads (zero without pruning).
+  /// Cells the walk resolved purely by a whole-cell alpha certificate, with
+  /// zero per-worker loads.
   int64_t cells_emitted_direct = 0;
 
   double MeanTravelM() const {

@@ -63,8 +63,8 @@ struct PipelineObs {
           "candidates",      "workers_evaluated",   "workers_pruned",
           "alpha_rejections", "beta_cancels",       "disclosures",
           "false_hits",      "false_dismissals",    "u2u_band_evals",
-          "active_compactions", "cells_bulk_accepted", "cells_skipped",
-          "boundary_workers", "u2u_gather_bytes",   "cells_emitted_direct"};
+          "cells_bulk_accepted", "cells_skipped",   "boundary_workers",
+          "u2u_gather_bytes", "cells_emitted_direct"};
       static_assert(std::size(names) == std::tuple_size_v<decltype(counters)>);
       for (size_t k = 0; k < p.counters.size(); ++k) {
         p.counters[k] =
@@ -217,7 +217,11 @@ TaskOutcome TaskPipeline::RunTask(int64_t task_id, geo::Point exact,
   m.candidates_sum += static_cast<int64_t>(candidates.size());
   m.server_to_requester_msgs += 1;
 
-  if (compute_accuracy_metrics_) ScoreAccuracy(candidates, exact);
+  if (compute_accuracy_metrics_) {
+    const auto accuracy_start = Clock::now();
+    ScoreAccuracy(candidates, exact);
+    m.accuracy_seconds += Seconds(accuracy_start, Clock::now());
+  }
   if (candidates.empty()) return outcome;  // Task remains unassigned.
 
   // ---- Stage 2: U2E (requester) ------------------------------------
@@ -273,7 +277,7 @@ TaskOutcome TaskPipeline::RunTask(int64_t task_id, geo::Point exact,
 
 void TaskPipeline::Relocate(uint32_t worker, geo::Point noisy,
                             bool reactivate) {
-  // Order matters: the relocate updates the pruner's stored region first,
+  // Order matters: the relocate updates the grid's stored row first,
   // so a matched worker's Restore (inside MarkAvailable) re-inserts at the
   // *new* noisy location.
   u2u_.UpdateWorkerLocation(worker, noisy);
@@ -295,7 +299,6 @@ std::array<int64_t, TaskPipeline::kNumCounters> TaskPipeline::CounterValues()
           m.false_hits,
           m.false_dismissals,
           u2u_.band_evals(),
-          u2u_.compactions(),
           m.cells_bulk_accepted,
           m.cells_skipped,
           m.boundary_workers,

@@ -46,7 +46,7 @@ struct TaskOutcome {
 /// radii, ids — and must outlive the pipeline. Callers may re-point exact
 /// locations between tasks (service re-reports) through their own array.
 ///
-/// Not thread-safe; the U2U scan fans its shards over policy.runtime.pool.
+/// Not thread-safe.
 class TaskPipeline {
  public:
   /// `region` bounds the deployment area (sizes the pruning grid).
@@ -59,7 +59,7 @@ class TaskPipeline {
   /// Timed into RunMetrics::setup_seconds.
   void AddWorkers(stats::Rng& rank_rng);
 
-  /// Finishes stage setup (threshold prewarm, pruning grid, shard lists) so
+  /// Finishes stage setup (threshold prewarm, the U2U grid) so
   /// the first task's U2U time measures only the scan. Timed into
   /// RunMetrics::setup_seconds.
   void Prepare();
@@ -84,7 +84,7 @@ class TaskPipeline {
   const MatchResult& result() const { return result_; }
 
   /// Number of `scguard.engine.*` counters Flush maintains.
-  static constexpr size_t kNumCounters = 18;
+  static constexpr size_t kNumCounters = 17;
 
  private:
   /// The cumulative values behind the `scguard.engine.*` counters.

@@ -73,8 +73,8 @@ struct EnginePolicy {
   /// bounded-error U2E LUT off.
   reachability::KernelOptions kernel;
 
-  /// Parallel-scan knobs (DESIGN.md section 9). Defaults keep the scan
-  /// serial; thread-count invariance is held by tests/oracle_test.cc.
+  /// Parallelism knobs (DESIGN.md section 9); the U2U walk is serial and
+  /// reads neither. Invariance is held by tests/oracle_test.cc.
   EngineRuntime runtime;
 
   /// Display name override; empty derives one from model + strategy.

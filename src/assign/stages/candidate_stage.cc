@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/status.h"
-#include "runtime/parallel_for.h"
 
 namespace scguard::assign {
 
@@ -16,7 +14,6 @@ U2uCandidateStage::U2uCandidateStage(Config config)
     : config_(std::move(config)),
       thresholds_(config_.model, reachability::Stage::kU2U, config_.alpha,
                   config_.kernel.threshold_margin) {
-  SCGUARD_CHECK(config_.runtime.shard_size >= 1);
 }
 
 void U2uCandidateStage::ReserveWorkers(size_t n) {
@@ -34,8 +31,8 @@ uint32_t U2uCandidateStage::AddWorker(geo::Point noisy_location,
   soa_.y.push_back(noisy_location.y);
   soa_.reach_radius_m.push_back(reach_radius_m);
   soa_.matched.push_back(0);
-  // A registration after Prepare invalidates a built pruning index; it is
-  // rebuilt over the full worker set at the next Collect.
+  // A registration after Prepare invalidates a built grid; it is rebuilt
+  // over the full worker set at the next Prepare.
   pruner_.reset();
   return static_cast<uint32_t>(i);
 }
@@ -45,56 +42,26 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
   soa_.x[worker] = noisy_location.x;
   soa_.y[worker] = noisy_location.y;
   // The certain-band bounds depend only on the (unchanged) reach radius,
-  // so the threshold prewarm stays valid. A built pruning index relocates
-  // the row in place (O(cell) — the mutation the service loop amortizes,
-  // DESIGN.md §14); an unbuilt one is built from the SoA at the next
-  // Prepare.
+  // so the threshold prewarm stays valid. A built grid relocates the row
+  // in place (O(cell) — the mutation the service loop amortizes, DESIGN.md
+  // §14); an unbuilt one is built from the SoA at the next Prepare.
   if (pruner_ != nullptr) pruner_->Relocate(worker, noisy_location);
 }
 
 void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   if (!soa_.matched[worker]) return;
   soa_.matched[worker] = 0;
-  // Undo MarkMatched's active-set maintenance: re-insert into the pruning
-  // index, or splice the id back into its shard's ascending active list.
-  if (pruner_ != nullptr) {
-    pruner_->Restore(worker, soa_);
-  } else if (prepared_ && !config_.pruning.has_value()) {
-    std::vector<uint32_t>& active =
-        shard_active_[worker / static_cast<size_t>(config_.runtime.shard_size)];
-    const auto pos = std::lower_bound(active.begin(), active.end(), worker);
-    // A pending dirty compaction may not have erased the id yet; keep the
-    // list duplicate-free either way.
-    if (pos == active.end() || *pos != worker) active.insert(pos, worker);
-  }
-}
-
-void U2uCandidateStage::RebuildShards() {
-  const size_t n = soa_.size();
-  const auto shard_size = static_cast<size_t>(config_.runtime.shard_size);
-  const size_t num_shards = n > 0 ? (n + shard_size - 1) / shard_size : 0;
-  shard_active_.assign(num_shards, {});
-  shard_dirty_.assign(num_shards, 0);
-  shards_.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t lo = s * shard_size;
-    const size_t hi = std::min(n, lo + shard_size);
-    shard_active_[s].reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) {
-      if (!soa_.matched[i]) {
-        shard_active_[s].push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
+  // Undo MarkMatched: the row rejoins the grid at the worker's current
+  // location.
+  if (pruner_ != nullptr) pruner_->Restore(worker, soa_);
 }
 
 void U2uCandidateStage::Prepare() {
   const size_t n = soa_.size();
-  const bool pruner_ready = !config_.pruning.has_value() || pruner_ != nullptr;
-  if (prepared_ && warm_ == n && pruner_ready) return;
+  if (warm_ == n && pruner_ != nullptr) return;
 
   // Threshold prewarm: filling accept/reject_sq also memoizes the cache for
-  // every worker radius, which the parallel band resolution relies on
+  // every worker radius, which the band resolution relies on
   // (AlphaThresholdCache::Lookup is the read-only path).
   soa_.accept_below_sq.resize(n);
   soa_.reject_above_sq.resize(n);
@@ -105,38 +72,24 @@ void U2uCandidateStage::Prepare() {
     soa_.reject_above_sq[i] = t.reject_above_sq;
   }
 
-  if (config_.pruning.has_value()) {
-    // Built straight from the SoA after the prewarm above: the grid's rows
-    // carry each worker's certain bands, and matched workers stay out.
-    if (pruner_ == nullptr) {
+  // Built straight from the SoA after the prewarm above: the grid's rows
+  // carry each worker's certain bands, and matched workers stay out.
+  if (pruner_ == nullptr) {
+    if (config_.pruning.has_value()) {
       const Pruning& p = *config_.pruning;
       pruner_ = std::make_unique<index::UncertainRegionPruner>(
           soa_, p.worker_params, p.task_params, p.gamma, p.region);
-    }
-  } else if (warm_ == 0) {
-    RebuildShards();
-  } else {
-    // Incremental registrations: indices grow monotonically, so appending
-    // to the owning shard keeps its active list ascending.
-    const auto shard_size = static_cast<size_t>(config_.runtime.shard_size);
-    const size_t num_shards = (n + shard_size - 1) / shard_size;
-    shard_active_.resize(num_shards);
-    shard_dirty_.resize(num_shards, 0);
-    shards_.resize(num_shards);
-    for (size_t i = warm_; i < n; ++i) {
-      shard_active_[i / shard_size].push_back(static_cast<uint32_t>(i));
+    } else {
+      pruner_ = std::make_unique<index::UncertainRegionPruner>(soa_);
     }
   }
-
   candidates_.reserve(n);
   warm_ = n;
-  prepared_ = true;
 }
 
-void U2uCandidateStage::ResolveBand(geo::Point task_noisy,
-                                    ShardScratch& sc) const {
+void U2uCandidateStage::ResolveBand(geo::Point task_noisy) {
   size_t kept = 0;
-  for (const uint32_t i : sc.band) {
+  for (const uint32_t i : band_) {
     const reachability::AlphaThreshold* t =
         thresholds_.Lookup(soa_.reach_radius_m[i]);
     SCGUARD_CHECK(t != nullptr);
@@ -147,48 +100,32 @@ void U2uCandidateStage::ResolveBand(geo::Point task_noisy,
     } else if (d >= t->reject_above_m) {
       is_candidate = false;
     } else {
-      ++sc.band_evals;
+      ++band_evals_;
       is_candidate = config_.model->ProbReachable(reachability::Stage::kU2U,
                                                   d, soa_.reach_radius_m[i]) >=
                      config_.alpha;
     }
-    sc.band[kept] = i;
+    band_[kept] = i;
     kept += is_candidate ? 1 : 0;
   }
-  sc.band.resize(kept);
+  band_.resize(kept);
 }
 
-void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
-                                    size_t count, ShardScratch& sc) const {
-  sc.scanned = static_cast<int64_t>(count);
-  // Branch-free trichotomy over the contiguous SoA arrays, then one direct
-  // evaluation per in-band worker — the same decision as
-  // AlphaThresholdCache::IsCandidate, inlined so the shared cache is never
-  // mutated from a pool worker.
-  reachability::ClassifyCertainBand(soa_, idx, count, task_noisy.x,
-                                    task_noisy.y, sc.accept, sc.band);
-  ResolveBand(task_noisy, sc);
-  // Both lists are ascending subsets of the input, so one merge restores
-  // the serial scan's candidate order.
-  sc.out.resize(sc.accept.size() + sc.band.size());
-  std::merge(sc.accept.begin(), sc.accept.end(), sc.band.begin(),
-             sc.band.end(), sc.out.begin());
-}
-
-void U2uCandidateStage::ScanPrunedChunk(geo::Point task_noisy,
-                                        const geo::BoundingBox& query,
-                                        size_t begin, size_t end,
-                                        ShardScratch& sc) const {
-  sc.accept.clear();
-  sc.band.clear();
-  sc.scanned = 0;
-  sc.gather_bytes = 0;
-  sc.cells_direct = 0;
+const std::vector<uint32_t>& U2uCandidateStage::Collect(
+    geo::Point task_noisy_location) {
+  Prepare();
+  const geo::Point task = task_noisy_location;
+  const geo::BoundingBox query = pruner_->TaskQueryBox(task);
   const index::GridIndex& grid = pruner_->grid();
   const reachability::CellRows& m = grid.rows();
-  for (size_t v = begin; v < end; ++v) {
+  grid.VisitQueryCells(query, visits_);
+
+  accept_.clear();
+  band_.clear();
+  int64_t scanned = 0;
+  for (size_t v = 0; v < visits_.size(); ++v) {
     const index::GridIndex::CellVisit& visit = visits_[v];
-    if (v + 1 < end) {
+    if (v + 1 < visits_.size()) {
       // The next cell's slice is a known contiguous address; start pulling
       // its first lines while this cell classifies.
       const size_t nx = visits_[v + 1].begin;
@@ -199,99 +136,47 @@ void U2uCandidateStage::ScanPrunedChunk(geo::Point task_noisy,
     if (visit.cert == index::GridIndex::CellCert::kBulkAccepted) {
       // Every member is rectangle-admitted; the cell-level alpha
       // certificate can settle the whole slice without touching a row.
-      sc.scanned += static_cast<int64_t>(visit.count);
+      scanned += static_cast<int64_t>(visit.count);
       const index::GridIndex::CellAlpha alpha =
-          grid.Certify(visit.slot, task_noisy.x, task_noisy.y);
+          grid.Certify(visit.slot, task.x, task.y);
       if (alpha == index::GridIndex::CellAlpha::kAllAccept) {
         const auto from =
             m.id.begin() + static_cast<std::ptrdiff_t>(visit.begin);
-        sc.accept.insert(sc.accept.end(), from, from + visit.count);
-        sc.gather_bytes += static_cast<int64_t>(visit.count) * 4;
-        ++sc.cells_direct;
+        accept_.insert(accept_.end(), from, from + visit.count);
+        stats_.gather_bytes += static_cast<int64_t>(visit.count) * 4;
+        ++stats_.cells_emitted_direct;
       } else if (alpha == index::GridIndex::CellAlpha::kAllReject) {
-        ++sc.cells_direct;
+        ++stats_.cells_emitted_direct;
       } else {
         reachability::ClassifyCertainBandRange(m, visit.begin, visit.count,
-                                               task_noisy.x, task_noisy.y,
-                                               sc.accept, sc.band);
-        sc.gather_bytes += static_cast<int64_t>(visit.count) * 36;
+                                               task.x, task.y, accept_,
+                                               band_);
+        stats_.gather_bytes += static_cast<int64_t>(visit.count) * 36;
       }
     } else {
       const size_t admitted = reachability::ClassifyCertainBandRangeRect(
-          m, visit.begin, visit.count, task_noisy.x, task_noisy.y,
-          query.min_x, query.min_y, query.max_x, query.max_y, sc.accept,
-          sc.band);
-      sc.scanned += static_cast<int64_t>(admitted);
-      sc.gather_bytes += static_cast<int64_t>(visit.count) * 44;
+          m, visit.begin, visit.count, task.x, task.y, query.min_x,
+          query.min_y, query.max_x, query.max_y, accept_, band_);
+      scanned += static_cast<int64_t>(admitted);
+      stats_.gather_bytes += static_cast<int64_t>(visit.count) * 44;
     }
   }
-  // Band resolution — the same per-worker decision as the unpruned scan,
-  // so both paths agree bit for bit (and count the same band_evals).
-  ResolveBand(task_noisy, sc);
-  // Chunk output order is irrelevant (the bitmap union restores ascending
-  // order), so survivors just append.
-  sc.accept.insert(sc.accept.end(), sc.band.begin(), sc.band.end());
-}
-
-void U2uCandidateStage::CollectPruned(geo::Point task_noisy_location) {
+  ResolveBand(task);
+  stats_.scanned_last = scanned;
   const size_t n = soa_.size();
-  const EngineRuntime& rt = config_.runtime;
-  const geo::BoundingBox query = pruner_->TaskQueryBox(task_noisy_location);
-  pruner_->grid().VisitQueryCells(query, visits_);
+  stats_.pruned_last = config_.pruning.has_value()
+                            ? static_cast<int64_t>(n) - scanned
+                            : 0;
 
-  // Cut the visit list into chunks of >= shard_size members. Boundaries
-  // depend only on the walk and shard_size — never the pool — so per-chunk
-  // outputs and counters are reproducible; at most one chunk more than the
-  // brute scan's shard count exists, hence the resize.
-  const auto shard_size = static_cast<size_t>(rt.shard_size);
-  pruned_chunks_.clear();
-  size_t chunk_begin = 0;
-  size_t acc = 0;
-  for (size_t v = 0; v < visits_.size(); ++v) {
-    acc += visits_[v].count;
-    if (acc >= shard_size) {
-      pruned_chunks_.push_back({chunk_begin, v + 1});
-      chunk_begin = v + 1;
-      acc = 0;
-    }
-  }
-  if (chunk_begin < visits_.size()) {
-    pruned_chunks_.push_back({chunk_begin, visits_.size()});
-  }
-  if (shards_.size() < pruned_chunks_.size()) {
-    shards_.resize(pruned_chunks_.size());
-  }
-
-  const Status scan_status = runtime::ParallelFor(
-      rt.pool, 0, static_cast<int64_t>(pruned_chunks_.size()), /*grain=*/1,
-      [&](int64_t lo, int64_t hi) -> Status {
-        for (int64_t j = lo; j < hi; ++j) {
-          const PrunedChunk& chunk = pruned_chunks_[static_cast<size_t>(j)];
-          ScanPrunedChunk(task_noisy_location, query, chunk.begin, chunk.end,
-                          shards_[static_cast<size_t>(j)]);
-        }
-        return Status::OK();
-      });
-  SCGUARD_CHECK(scan_status.ok());
-
-  // Union the chunks' accepted ids through a dense bitmap and read it back
-  // in word order: an order-independent set union, so the ascending result
-  // equals the unpruned scan's ascending concatenation no matter how cells
-  // were chunked.
+  // Cells are visited in row-major order, not id order: set the accepted
+  // ids in a dense bitmap and read it back in word order, ascending.
   accept_bits_.assign((n + 63) / 64, 0);
-  size_t hits = 0;
-  for (size_t j = 0; j < pruned_chunks_.size(); ++j) {
-    const ShardScratch& sc = shards_[j];
-    for (const uint32_t i : sc.accept) {
+  for (const std::vector<uint32_t>* ids : {&accept_, &band_}) {
+    for (const uint32_t i : *ids) {
       accept_bits_[i >> 6] |= uint64_t{1} << (i & 63);
     }
-    hits += sc.accept.size();
-    stats_.scanned_last += sc.scanned;
-    stats_.gather_bytes += sc.gather_bytes;
-    stats_.cells_emitted_direct += sc.cells_direct;
   }
-  stats_.pruned_last = static_cast<int64_t>(n) - stats_.scanned_last;
-  candidates_.reserve(hits);
+  candidates_.clear();
   for (size_t w = 0; w < accept_bits_.size(); ++w) {
     uint64_t bits = accept_bits_[w];
     while (bits != 0) {
@@ -300,53 +185,6 @@ void U2uCandidateStage::CollectPruned(geo::Point task_noisy_location) {
           static_cast<uint32_t>((w << 6) + static_cast<size_t>(b)));
       bits &= bits - 1;
     }
-  }
-}
-
-void U2uCandidateStage::CollectShards(geo::Point task_noisy_location) {
-  const Status scan_status = runtime::ParallelFor(
-      config_.runtime.pool, 0, static_cast<int64_t>(shards_.size()),
-      /*grain=*/1, [&](int64_t lo, int64_t hi) -> Status {
-        for (int64_t j = lo; j < hi; ++j) {
-          const auto s = static_cast<size_t>(j);
-          std::vector<uint32_t>& active = shard_active_[s];
-          ShardScratch& sc = shards_[s];
-          if (shard_dirty_[s]) {
-            // Stage-boundary rebuild from matched[]: a stable filter, so the
-            // shard stays ascending and the next scan touches only available
-            // workers.
-            active.erase(std::remove_if(active.begin(), active.end(),
-                                        [&](uint32_t i) {
-                                          return soa_.matched[i] != 0;
-                                        }),
-                         active.end());
-            shard_dirty_[s] = 0;
-            ++sc.compactions;
-          }
-          ScanIndices(task_noisy_location, active.data(), active.size(), sc);
-        }
-        return Status::OK();
-      });
-  SCGUARD_CHECK(scan_status.ok());
-  // Seed-order reduction: shard order == ascending id order.
-  for (const ShardScratch& sc : shards_) {
-    candidates_.insert(candidates_.end(), sc.out.begin(), sc.out.end());
-    stats_.scanned_last += sc.scanned;
-    // Traffic model: the brute scan streams the four packed doubles.
-    stats_.gather_bytes += sc.scanned * 32;
-  }
-}
-
-const std::vector<uint32_t>& U2uCandidateStage::Collect(
-    geo::Point task_noisy_location) {
-  Prepare();
-  candidates_.clear();
-  stats_.scanned_last = 0;
-  stats_.pruned_last = 0;
-  if (pruner_ != nullptr) {
-    CollectPruned(task_noisy_location);
-  } else {
-    CollectShards(task_noisy_location);
   }
   return candidates_;
 }
@@ -365,32 +203,15 @@ bool U2uCandidateStage::Decide(uint32_t worker,
 
 void U2uCandidateStage::MarkMatched(uint32_t worker) {
   soa_.matched[worker] = 1;
-  // Active-set maintenance: full scans compact the shard at its next scan;
-  // pruned runs drop the worker from the index so queries stop returning
-  // it.
-  if (pruner_ != nullptr) {
-    pruner_->Remove(worker);
-  } else if (prepared_) {
-    shard_dirty_[worker / static_cast<size_t>(config_.runtime.shard_size)] = 1;
-  }
+  // Active-set maintenance: the row leaves the grid, so walks stop
+  // visiting it.
+  if (pruner_ != nullptr) pruner_->Remove(worker);
 }
 
 size_t U2uCandidateStage::available() const {
   size_t n = 0;
   for (const uint8_t m : soa_.matched) n += m == 0 ? 1 : 0;
   return n;
-}
-
-int64_t U2uCandidateStage::band_evals() const {
-  int64_t sum = 0;
-  for (const ShardScratch& sc : shards_) sum += sc.band_evals;
-  return sum;
-}
-
-int64_t U2uCandidateStage::compactions() const {
-  int64_t sum = 0;
-  for (const ShardScratch& sc : shards_) sum += sc.compactions;
-  return sum;
 }
 
 }  // namespace scguard::assign

@@ -20,25 +20,17 @@ class ThreadPool;
 namespace scguard::assign {
 
 /// Stage-level parallelism knobs (DESIGN.md section 9), the per-run analog
-/// of ExperimentConfig::runtime. The determinism contract matches the
-/// runtime layer's: for a fixed configuration and workload, the candidate
-/// stream (and hence MatchResult and the caller RNG stream) is bit-identical
-/// for every (pool, shard_size) combination — parallelism only changes
-/// wall-clock (held against the naive oracle in tests/oracle_test.cc).
+/// of ExperimentConfig::runtime. The U2U walk reads neither field: it runs
+/// serially, because fanning it over a pool won on no measured workload
+/// (ROADMAP item 7 has the numbers). The fields stay so that existing
+/// callers keep compiling; results are bit-identical for every
+/// (pool, shard_size) combination (held against the naive oracle in
+/// tests/oracle_test.cc).
 struct EngineRuntime {
-  /// Pool the U2U scan fans its shards across. Not owned; must outlive the
-  /// stage. nullptr (the default) keeps the scan serial, and
-  /// runtime::ParallelFor falls back to serial anyway when the scan is
-  /// already executing inside a pool worker (ExperimentRunner's seed
-  /// fan-out), so nested parallelism never deadlocks.
+  /// Not owned; must outlive the stage. Not read by the U2U walk.
   runtime::ThreadPool* pool = nullptr;
 
-  /// Workers per scan shard (and the minimum member count of one pruned
-  /// chunk). Fixed-size shards — never derived from the thread count — so
-  /// per-shard candidate vectors concatenate to the same ascending id order
-  /// on any pool. Smaller shards balance better once the active set drains
-  /// unevenly; 4096 keeps per-shard overhead negligible up to millions of
-  /// workers.
+  /// Must be >= 1 (EnginePolicy validation). Not read by the U2U walk.
   int shard_size = 4096;
 };
 
@@ -47,24 +39,26 @@ struct EngineRuntime {
 /// workers are plausible candidates for this noisy task location?" with
 /// Pr(reachable | d') >= alpha. One object owns everything the scan needs —
 /// the WorkerFilterSoA snapshot, the inverted AlphaThresholdCache with its
-/// per-worker certain bands, the optional uncertainty-rectangle grid pruner
-/// whose cell-major rows it scores, and the sharded active-set scan state.
+/// per-worker certain bands, and the grid index whose cell-major rows it
+/// scores.
 /// Every caller shares this one filter, so its decisions stay bit-identical
 /// across them: TaskPipeline (the engine, the service and sim/dynamic),
 /// core::TaskingServer, and BatchMatcher's feasibility test (Decide).
 ///
-/// There are exactly two scan paths: without pruning, a sharded scan over
-/// per-shard active lists; with pruning, a certified cell walk over the
-/// grid's rows. Both decide `ProbReachable(kU2U, d, r) >= alpha` through the
-/// inverted certain bands plus one direct evaluation inside the band.
+/// There is one scan: a certified cell walk over the grid's rows, which
+/// decides `ProbReachable(kU2U, d, r) >= alpha` through whole-cell alpha
+/// certificates, the inverted certain bands, and one direct evaluation
+/// inside the band. With pruning the walk is bounded by the task's
+/// uncertainty rectangle (paper Sec. IV-C1); without it the grid is built
+/// anyway and walked with an all-admitting box (DESIGN.md §11).
 ///
-/// Not thread-safe; Collect itself fans shards over the configured pool.
-/// Intended to be run-local (ExperimentRunner shares one matcher across
-/// concurrently running seeds, so nothing here may outlive a Run).
+/// Not thread-safe. Intended to be run-local (ExperimentRunner shares one
+/// matcher across concurrently running seeds, so nothing here may outlive a
+/// Run).
 class U2uCandidateStage {
  public:
   /// Uncertainty-rectangle pruning (paper Sec. IV-C1) configuration; when
-  /// present the stage queries the index instead of scanning every shard.
+  /// present the walk visits only the cells the task's rectangle can reach.
   struct Pruning {
     double gamma = 0.9;
     /// Always kGrid, the only backend; the field stays because existing
@@ -86,7 +80,7 @@ class U2uCandidateStage {
     /// Kernel knobs; the U2U filter reads threshold_margin (DESIGN.md
     /// section 8).
     reachability::KernelOptions kernel;
-    /// Sharded-scan knobs (DESIGN.md section 9).
+    /// Parallelism knobs (DESIGN.md section 9); not read by the walk.
     EngineRuntime runtime;
     /// Optional pruning index over the workers' uncertainty rectangles.
     std::optional<Pruning> pruning;
@@ -95,14 +89,17 @@ class U2uCandidateStage {
   /// Per-Collect scan accounting, surfaced so orchestrators can feed
   /// RunMetrics and obs counters without reaching into the scan.
   struct Stats {
-    int64_t scanned_last = 0;  ///< Workers scored by the last Collect.
-    int64_t pruned_last = 0;   ///< Workers the index skipped last Collect.
+    /// Workers the last Collect admitted: with pruning, those whose
+    /// rectangle meets the task's; without it, every live worker with
+    /// finite coordinates.
+    int64_t scanned_last = 0;
+    /// Workers the index skipped last Collect (0 without pruning).
+    int64_t pruned_last = 0;
     /// Modeled scoring-side memory traffic, cumulative over the stage's
     /// life (a traffic model, not a hardware counter — see EXPERIMENTS.md):
-    /// brute sequential scans cost the packed 32 B per worker, pruned range
-    /// scans cost the contiguous rows actually streamed (36 B bulk / 44 B
-    /// boundary), and certificate-direct cells cost only their emitted id
-    /// run (4 B per id, 0 for whole-cell rejects).
+    /// range scans cost the contiguous rows actually streamed (36 B bulk /
+    /// 44 B boundary), and certificate-direct cells cost only their emitted
+    /// id run (4 B per id, 0 for whole-cell rejects).
     int64_t gather_bytes = 0;
     /// Cells resolved purely by a whole-cell alpha certificate (accept or
     /// reject) with zero per-worker loads, cumulative.
@@ -116,8 +113,8 @@ class U2uCandidateStage {
   void ReserveWorkers(size_t n);
 
   /// Registers a worker; indices are assigned in registration order and are
-  /// the ids Collect emits. Workers registered after the first Collect
-  /// invalidate a configured pruning index (it is rebuilt lazily).
+  /// the ids Collect emits. A registration after Prepare drops the grid
+  /// (it is rebuilt over every worker at the next Prepare).
   uint32_t AddWorker(geo::Point noisy_location, double reach_radius_m);
 
   /// Re-points a worker's noisy location (dynamic re-reporting). The reach
@@ -125,15 +122,14 @@ class U2uCandidateStage {
   void UpdateWorkerLocation(uint32_t worker, geo::Point noisy_location);
 
   /// Finishes lazy setup — threshold prewarm for every registered radius,
-  /// shard active lists, the pruning index — so the first Collect pays no
-  /// setup cost. Collect calls this itself; exposed so orchestrators can
-  /// keep setup out of their per-stage timings.
+  /// the grid index — so the first Collect pays no setup cost. Collect
+  /// calls this itself; exposed so orchestrators can keep setup out of
+  /// their per-stage timings.
   void Prepare();
 
   /// The U2U stage for one task: ascending indices of available workers
   /// with Pr(reachable | d(w', t')) >= alpha. The returned reference stays
-  /// valid until the next Collect. Decisions are bit-identical for every
-  /// (pool, shard_size) combination.
+  /// valid until the next Collect.
   const std::vector<uint32_t>& Collect(geo::Point task_noisy_location);
 
   /// Scalar membership test against one task location, ignoring
@@ -142,114 +138,56 @@ class U2uCandidateStage {
   /// compare.
   bool Decide(uint32_t worker, geo::Point task_noisy_location);
 
-  /// Marks a worker assigned: it disappears from future Collect results.
-  /// Also compacts it out of its shard at the next scan (or removes it from
-  /// the pruning index).
+  /// Marks a worker assigned: it disappears from future Collect results
+  /// (its row leaves the grid).
   void MarkMatched(uint32_t worker);
 
   /// Clears one worker's matched mark so it reappears in future Collect
   /// results (service-side reactivation when a matched worker re-reports,
   /// and every worker at sim/dynamic's round boundaries). Restores the
-  /// worker in the pruning index / its shard's active list. No-op for
-  /// workers that are not matched.
+  /// worker's row in the grid. No-op for workers that are not matched.
   void MarkAvailable(uint32_t worker);
 
   size_t size() const { return soa_.size(); }
   size_t available() const;
 
   const Stats& stats() const { return stats_; }
-  /// Cell-certification counters of the pruning grid, cumulative over the
-  /// pruner's life (nullptr without pruning). Orchestrators feed these into
-  /// RunMetrics / obs counters.
+  /// Rectangle-certification counters of the pruning grid, cumulative over
+  /// the index's life (nullptr without pruning, where the all-admitting
+  /// walk bulk-accepts every finite cell and the counters would measure no
+  /// pruning work). Orchestrators feed these into RunMetrics / obs counters.
   const index::GridIndex::QueryStats* grid_query_stats() const {
-    return pruner_ != nullptr ? &pruner_->grid().stats() : nullptr;
+    return pruner_ != nullptr && config_.pruning.has_value()
+               ? &pruner_->grid().stats()
+               : nullptr;
   }
-  /// Direct in-band model evaluations, cumulative over the stage's life
-  /// (summed across shard scratches; call once per run, not per task).
-  int64_t band_evals() const;
-  /// Active-set shard rebuilds, cumulative.
-  int64_t compactions() const;
+  /// Direct in-band model evaluations, cumulative over the stage's life.
+  int64_t band_evals() const { return band_evals_; }
   /// The worker snapshot (noisy coordinates, radii, matched flags); the
   /// rank stage scores candidates straight off these arrays.
   const reachability::WorkerFilterSoA& soa() const { return soa_; }
 
  private:
-  /// Per-shard scratch of the U2U scan. Each shard owns one instance for
-  /// the whole run, so concurrent shard scans never share mutable state and
-  /// the vectors' capacities amortize across tasks.
-  struct ShardScratch {
-    std::vector<uint32_t> accept;  ///< Certain accepts, ascending.
-    std::vector<uint32_t> band;    ///< In-band indices, then survivors.
-    std::vector<uint32_t> out;     ///< This shard's candidates, ascending.
-    int64_t scanned = 0;           ///< Workers scored for the current task.
-    int64_t band_evals = 0;        ///< Direct model evals, run cumulative.
-    int64_t compactions = 0;       ///< Active-set rebuilds, run cumulative.
-    int64_t gather_bytes = 0;      ///< Pruned-chunk traffic, current task.
-    int64_t cells_direct = 0;      ///< Certificate-direct cells, this task.
-  };
-
-  /// Scores `count` workers (an ascending index list with no matched
-  /// entries) against the task's noisy location, leaving the ascending
-  /// candidate subset in `sc.out`. Safe to run concurrently on distinct
-  /// scratches: reads only the SoA, the prewarmed threshold cache, and the
-  /// (thread-safe, const) model.
-  void ScanIndices(geo::Point task_noisy, const uint32_t* idx, size_t count,
-                   ShardScratch& sc) const;
-
-  /// Resolves the in-band workers of `sc.band` in place, keeping the
-  /// candidates (the direct evaluation both scan paths share).
-  void ResolveBand(geo::Point task_noisy, ShardScratch& sc) const;
-
-  /// The unpruned Collect: every shard's active list, fanned over the pool.
-  void CollectShards(geo::Point task_noisy);
-
-  /// The pruned Collect: certified cell walk, chunked range classification
-  /// over the grid's contiguous row slices, bitmap union back to ascending
-  /// order.
-  void CollectPruned(geo::Point task_noisy);
-
-  /// Classifies the visits [begin, end) of the current walk against the
-  /// task, leaving this chunk's accepted worker ids (unordered across
-  /// cells) in sc.accept and its admitted/traffic accounting in sc. Safe to
-  /// run concurrently on distinct scratches.
-  void ScanPrunedChunk(geo::Point task_noisy, const geo::BoundingBox& query,
-                       size_t begin, size_t end, ShardScratch& sc) const;
-
-  void RebuildShards();
+  /// Resolves the in-band workers of band_ in place, keeping the
+  /// candidates (one direct evaluation each).
+  void ResolveBand(geo::Point task_noisy);
 
   Config config_;
   reachability::WorkerFilterSoA soa_;
   reachability::AlphaThresholdCache thresholds_;
+  /// The grid: rectangle-pruning with Config::pruning, all-admitting
+  /// without. Built by Prepare; dropped by a later AddWorker.
   std::unique_ptr<index::UncertainRegionPruner> pruner_;
-  /// Workers [0, warm_) have prewarmed thresholds and shard slots.
+  /// Workers [0, warm_) have prewarmed thresholds.
   size_t warm_ = 0;
-  /// Set once Prepare ran; a later AddWorker/UpdateWorkerLocation drops a
-  /// configured pruner so it is rebuilt over current data.
-  bool prepared_ = false;
-
-  // Sharded full-scan state (DESIGN.md section 9): fixed-size shards whose
-  // boundaries depend only on (n, shard_size), never on the pool, so
-  // concatenating per-shard candidates in shard order reproduces the
-  // serial ascending scan bit for bit.
-  std::vector<std::vector<uint32_t>> shard_active_;
-  std::vector<uint8_t> shard_dirty_;
-  std::vector<ShardScratch> shards_;
-
-  /// One pruned chunk: the visit range [begin, end) of the current walk.
-  /// Chunks are cut by cumulative member count against shard_size alone —
-  /// pool-independent, like the brute scan's shard boundaries — so chunk
-  /// contents (and with them every per-chunk counter) are identical on any
-  /// pool.
-  struct PrunedChunk {
-    size_t begin;
-    size_t end;
-  };
 
   // Reused per-Collect scratch.
   std::vector<uint32_t> candidates_;
   std::vector<index::GridIndex::CellVisit> visits_;
-  std::vector<PrunedChunk> pruned_chunks_;
+  std::vector<uint32_t> accept_;  ///< Accepted ids, unordered across cells.
+  std::vector<uint32_t> band_;    ///< In-band ids, then survivors.
   std::vector<uint64_t> accept_bits_;  ///< Accept bitmap, one bit per worker.
+  int64_t band_evals_ = 0;
   Stats stats_;
 };
 

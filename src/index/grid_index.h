@@ -43,8 +43,7 @@ class GridIndex {
  public:
   /// Cumulative query-side certification accounting (reset with
   /// ResetStats). Mutable scratch: queries on one index must not run
-  /// concurrently (the stage walks serially; shard fan-out happens on the
-  /// visited slices, not inside the index).
+  /// concurrently (the U2U stage walks serially).
   struct QueryStats {
     int64_t cells_bulk_accepted = 0;  ///< Every member rectangle-admitted.
     int64_t cells_skipped = 0;        ///< Non-empty cell, zero work.

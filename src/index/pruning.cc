@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/check.h"
 #include "privacy/mechanism.h"
@@ -26,10 +28,10 @@ UncertainRegionPruner::UncertainRegionPruner(
     const privacy::PrivacyParams& worker_params,
     const privacy::PrivacyParams& task_params, double gamma,
     const geo::BoundingBox& region)
-    : r_r_worker_(MechanismConfidenceRadius(worker_params, gamma, region)),
+    : prunes_(true),
+      r_r_worker_(MechanismConfidenceRadius(worker_params, gamma, region)),
       r_r_task_(MechanismConfidenceRadius(task_params, gamma, region)) {
   SCGUARD_CHECK(gamma > 0.0 && gamma < 1.0);
-  const size_t n = workers.size();
 
   // The expanded worker rectangles can stick out beyond the deployment
   // region; grow the grid region accordingly so border cells stay balanced.
@@ -41,6 +43,60 @@ UncertainRegionPruner::UncertainRegionPruner(
   grid_region.Extend(geo::Point{region.min_x - max_extent, region.min_y - max_extent});
   grid_region.Extend(geo::Point{region.max_x + max_extent, region.max_y + max_extent});
 
+  Build(workers, grid_region);
+}
+
+UncertainRegionPruner::UncertainRegionPruner(
+    const reachability::WorkerFilterSoA& workers)
+    : prunes_(false), r_r_worker_(0.0), r_r_task_(0.0) {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (size_t i = 0; i < workers.size(); ++i) {
+    if (std::isfinite(workers.x[i]) && std::isfinite(workers.y[i])) {
+      xs.push_back(workers.x[i]);
+      ys.push_back(workers.y[i]);
+    }
+  }
+  // Per axis, the finite extent clipped to Tukey's far-out fences (three
+  // interquartile ranges beyond the quartiles): a far-off worker lands in a
+  // border cell, which the grid clamps it to, instead of stretching every
+  // cell until all workers share one.
+  const auto fenced = [](std::vector<double>& v, double& lo, double& hi) {
+    const auto [min_it, max_it] = std::minmax_element(v.begin(), v.end());
+    lo = *min_it;
+    hi = *max_it;
+    const auto quantile = [&v](size_t k) {
+      std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k),
+                       v.end());
+      return v[k];
+    };
+    const double q1 = quantile(v.size() / 4);
+    const double q3 = quantile(v.size() * 3 / 4);
+    lo = std::max(lo, q1 - 3.0 * (q3 - q1));
+    hi = std::min(hi, q3 + 3.0 * (q3 - q1));
+  };
+  geo::BoundingBox grid_region = geo::BoundingBox::FromCorners({0, 0}, {1, 1});
+  if (!xs.empty()) {
+    fenced(xs, grid_region.min_x, grid_region.max_x);
+    fenced(ys, grid_region.min_y, grid_region.max_y);
+  }
+  // The grid needs a region of positive extent: no finite worker gets a
+  // unit box, and a degenerate side grows by max(1 m, |min|) so the cell
+  // width stays positive at any coordinate magnitude.
+  if (!(grid_region.max_x - grid_region.min_x >= 1.0)) {
+    grid_region.max_x =
+        grid_region.min_x + std::max(1.0, std::fabs(grid_region.min_x));
+  }
+  if (!(grid_region.max_y - grid_region.min_y >= 1.0)) {
+    grid_region.max_y =
+        grid_region.min_y + std::max(1.0, std::fabs(grid_region.min_y));
+  }
+  Build(workers, grid_region);
+}
+
+void UncertainRegionPruner::Build(const reachability::WorkerFilterSoA& workers,
+                                  const geo::BoundingBox& grid_region) {
+  const size_t n = workers.size();
   // Density-adaptive resolution (a perf-only knob: certification is exact
   // at any resolution): target ~64 entries per cell so boundary-cell member
   // tests stay short at a million workers without flooding small workloads
@@ -56,6 +112,15 @@ UncertainRegionPruner::UncertainRegionPruner(
   for (size_t i = 0; i < n; ++i) {
     if (workers.matched[i]) grid_->Remove(static_cast<uint32_t>(i));
   }
+}
+
+geo::BoundingBox UncertainRegionPruner::TaskQueryBox(
+    geo::Point task_noisy_location) const {
+  if (!prunes_) {
+    constexpr double kMax = std::numeric_limits<double>::max();
+    return {-kMax, -kMax, kMax, kMax};
+  }
+  return geo::BoundingBox::FromCircle(task_noisy_location, r_r_task_);
 }
 
 std::vector<uint32_t> UncertainRegionPruner::Candidates(

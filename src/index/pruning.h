@@ -28,7 +28,9 @@ enum class PrunerBackend { kGrid };
 /// pruned before any probability evaluation. The pruner is conservative:
 /// it may keep unreachable workers but never drops a pair whose disks
 /// overlap. The rectangles, with each worker's certain alpha bands, are the
-/// rows of a GridIndex (DESIGN.md §11, §13).
+/// rows of a GridIndex (DESIGN.md §11, §13). An unpruned U2U stage walks
+/// the same kind of index built all-admitting (the one-argument
+/// constructor), so there is one scan either way.
 class UncertainRegionPruner {
  public:
   /// Indexes every worker of `workers` (worker i is row i: noisy location,
@@ -40,6 +42,16 @@ class UncertainRegionPruner {
                         const privacy::PrivacyParams& worker_params,
                         const privacy::PrivacyParams& task_params,
                         double gamma, const geo::BoundingBox& region);
+
+  /// The all-admitting index of an unpruned U2U stage (DESIGN.md §11): the
+  /// same rows with a 0 m pad (each rectangle is the worker's reach disk)
+  /// over the box of the workers' finite coordinates (clipped per axis to
+  /// three interquartile ranges beyond the quartiles, so a far-off worker
+  /// lands in a border cell), queried with the largest finite box. Every finite row's rectangle intersects that
+  /// box, so a walk visits every non-empty cell, every finite cell
+  /// bulk-accepts, and only a non-finite row fails the rectangle test:
+  /// nothing is pruned, and the alpha certificates do the work.
+  explicit UncertainRegionPruner(const reachability::WorkerFilterSoA& workers);
 
   /// Workers whose expanded rectangle intersects the task's rectangle, in
   /// ascending order — the id-level view of the cell walk the U2U stage
@@ -68,21 +80,25 @@ class UncertainRegionPruner {
   void Restore(uint32_t worker, const reachability::WorkerFilterSoA& workers);
 
   /// The query rectangle of a task observation
-  /// (`FromCircle(task, task_confidence_radius_m)`), which the U2U stage
-  /// hands to the grid's cell walk.
-  geo::BoundingBox TaskQueryBox(geo::Point task_noisy_location) const {
-    return geo::BoundingBox::FromCircle(task_noisy_location, r_r_task_);
-  }
+  /// (`FromCircle(task, task_confidence_radius_m)`, or the all-admitting
+  /// box of an unpruned index), which the U2U stage hands to the grid's
+  /// cell walk.
+  geo::BoundingBox TaskQueryBox(geo::Point task_noisy_location) const;
 
   /// The index, whose rows the U2U stage scores directly.
   const GridIndex& grid() const { return *grid_; }
 
-  /// Confidence radius applied to worker observations.
+  /// Confidence radius applied to worker observations (0 when unpruned).
   double worker_confidence_radius_m() const { return r_r_worker_; }
   /// Confidence radius applied to task observations.
   double task_confidence_radius_m() const { return r_r_task_; }
 
  private:
+  /// Indexes every worker over `grid_region`, then drops the matched ones.
+  void Build(const reachability::WorkerFilterSoA& workers,
+             const geo::BoundingBox& grid_region);
+
+  bool prunes_;  ///< False for the all-admitting index.
   double r_r_worker_;
   double r_r_task_;
   std::unique_ptr<GridIndex> grid_;

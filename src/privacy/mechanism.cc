@@ -46,8 +46,8 @@ PlanarLaplaceMechanism::PlanarLaplaceMechanism(const PrivacyParams& params)
 
 geo::Point PlanarLaplaceMechanism::Perturb(geo::Point x,
                                            stats::Rng& rng) const {
-  // Exactly GeoIndMechanism::Perturb: one Sample, added to x. The bit-
-  // identity contract of the refactor lives on this line.
+  // One Sample, added to x: the draw order every planar-Laplace call site
+  // has always used. The bit-identity contract lives on this line.
   return x + laplace_.Sample(rng);
 }
 

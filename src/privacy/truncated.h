@@ -1,8 +1,11 @@
 #ifndef SCGUARD_PRIVACY_TRUNCATED_H_
 #define SCGUARD_PRIVACY_TRUNCATED_H_
 
+#include <memory>
+#include <string_view>
+
 #include "geo/bbox.h"
-#include "privacy/geo_ind.h"
+#include "privacy/mechanism.h"
 
 namespace scguard::privacy {
 
@@ -36,10 +39,13 @@ constexpr std::string_view TruncationModeName(TruncationMode mode) {
   return "?";
 }
 
-/// Geo-I mechanism whose outputs are constrained to a deployment region.
+/// Geo-I mechanism whose outputs are constrained to a deployment region:
+/// the mechanism params.mechanism selects (planar Laplace by default),
+/// followed by the configured truncation.
 class TruncatedGeoInd {
  public:
-  /// Requires valid params and a non-empty region.
+  /// Requires valid params and a non-empty region (which grid mechanisms
+  /// also discretize).
   TruncatedGeoInd(const PrivacyParams& params, const geo::BoundingBox& region,
                   TruncationMode mode);
 
@@ -49,10 +55,10 @@ class TruncatedGeoInd {
 
   TruncationMode mode() const { return mode_; }
   const geo::BoundingBox& region() const { return region_; }
-  const GeoIndMechanism& base() const { return base_; }
+  const Mechanism& base() const { return *base_; }
 
  private:
-  GeoIndMechanism base_;
+  std::unique_ptr<const Mechanism> base_;
   geo::BoundingBox region_;
   TruncationMode mode_;
 };

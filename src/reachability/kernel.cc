@@ -286,48 +286,16 @@ KernelLut::Table KernelLut::Build(double reach_radius_m) {
   }
 }
 
-void ClassifyCertainBandScalar(const WorkerFilterSoA& soa,
-                               const uint32_t* indices, size_t count,
-                               double task_x, double task_y,
-                               std::vector<uint32_t>& accept,
-                               std::vector<uint32_t>& band) {
-  accept.resize(count);
-  band.resize(count);
-  const double* const x = soa.x.data();
-  const double* const y = soa.y.data();
-  const double* const accept_sq = soa.accept_below_sq.data();
-  const double* const reject_sq = soa.reject_above_sq.data();
-  uint32_t* const accept_out = accept.data();
-  uint32_t* const band_out = band.data();
-  size_t num_accept = 0;
-  size_t num_band = 0;
-  for (size_t k = 0; k < count; ++k) {
-    const uint32_t i = indices[k];
-    const double dx = x[i] - task_x;
-    const double dy = y[i] - task_y;
-    const double d_sq = dx * dx + dy * dy;
-    // Unconditional slot writes + predicated increments keep the loop free
-    // of data-dependent branches; d_sq == accept bound counts as accept,
-    // so the direct-evaluation band is open at both ends.
-    const bool in_accept = d_sq <= accept_sq[i];
-    const bool in_band = (d_sq > accept_sq[i]) & (d_sq < reject_sq[i]);
-    accept_out[num_accept] = i;
-    num_accept += in_accept ? 1 : 0;
-    band_out[num_band] = i;
-    num_band += in_band ? 1 : 0;
-  }
-  accept.resize(num_accept);
-  band.resize(num_band);
-}
-
 void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
                                     size_t count, double task_x,
                                     double task_y,
                                     std::vector<uint32_t>& accept,
                                     std::vector<uint32_t>& band) {
   // Append semantics: resize ahead by the worst case, shrink to the
-  // survivors. Same branch-free trichotomy as ClassifyCertainBandScalar,
-  // but every column load is a contiguous stream through the cell rows.
+  // survivors. Every column load is a contiguous stream through the cell
+  // rows; unconditional slot writes + predicated increments keep the loop
+  // free of data-dependent branches, and d_sq == accept bound counts as
+  // accept, so the direct-evaluation band is open at both ends.
   const size_t accept_base = accept.size();
   const size_t band_base = band.size();
   accept.resize(accept_base + count);
@@ -399,9 +367,6 @@ size_t ClassifyCertainBandRangeRectScalar(
 
 namespace {
 
-using ClassifyFn = void (*)(const WorkerFilterSoA&, const uint32_t*, size_t,
-                            double, double, std::vector<uint32_t>&,
-                            std::vector<uint32_t>&);
 using ClassifyRangeFn = void (*)(const CellRows&, size_t, size_t,
                                  double, double, std::vector<uint32_t>&,
                                  std::vector<uint32_t>&);
@@ -414,25 +379,8 @@ using ClassifyRangeRectFn = size_t (*)(const CellRows&, size_t, size_t,
 /// ActiveClassifySimd / SetClassifySimd) resolves via CPUID. Relaxed atomics
 /// suffice: every resolution writes the same value and the pointed-to
 /// functions are immutable code.
-std::atomic<ClassifyFn> g_classify{nullptr};
 std::atomic<ClassifyRangeFn> g_classify_range{nullptr};
 std::atomic<ClassifyRangeRectFn> g_classify_range_rect{nullptr};
-
-ClassifyFn ResolveClassify() {
-#if defined(SCGUARD_HAVE_AVX2)
-  if (CpuSupportsAvx2()) return &ClassifyCertainBandAvx2;
-#endif
-  return &ClassifyCertainBandScalar;
-}
-
-ClassifyFn LoadOrResolve() {
-  ClassifyFn fn = g_classify.load(std::memory_order_relaxed);
-  if (fn == nullptr) {
-    fn = ResolveClassify();
-    g_classify.store(fn, std::memory_order_relaxed);
-  }
-  return fn;
-}
 
 ClassifyRangeFn LoadOrResolveRange() {
   ClassifyRangeFn fn = g_classify_range.load(std::memory_order_relaxed);
@@ -473,13 +421,6 @@ bool CpuSupportsAvx2() {
 #endif
 }
 
-void ClassifyCertainBand(const WorkerFilterSoA& soa, const uint32_t* indices,
-                         size_t count, double task_x, double task_y,
-                         std::vector<uint32_t>& accept,
-                         std::vector<uint32_t>& band) {
-  LoadOrResolve()(soa, indices, count, task_x, task_y, accept, band);
-}
-
 void ClassifyCertainBandRange(const CellRows& m, size_t begin,
                               size_t count, double task_x, double task_y,
                               std::vector<uint32_t>& accept,
@@ -499,9 +440,9 @@ size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
 }
 
 ClassifySimd ActiveClassifySimd() {
-  const ClassifyFn fn = LoadOrResolve();
+  const ClassifyRangeFn fn = LoadOrResolveRange();
 #if defined(SCGUARD_HAVE_AVX2)
-  if (fn == &ClassifyCertainBandAvx2) return ClassifySimd::kAvx2;
+  if (fn == &ClassifyCertainBandRangeAvx2) return ClassifySimd::kAvx2;
 #endif
   (void)fn;
   return ClassifySimd::kScalar;
@@ -510,7 +451,6 @@ ClassifySimd ActiveClassifySimd() {
 void SetClassifySimd(ClassifySimd simd) {
 #if defined(SCGUARD_HAVE_AVX2)
   if (simd == ClassifySimd::kAvx2 && CpuSupportsAvx2()) {
-    g_classify.store(&ClassifyCertainBandAvx2, std::memory_order_relaxed);
     g_classify_range.store(&ClassifyCertainBandRangeAvx2,
                            std::memory_order_relaxed);
     g_classify_range_rect.store(&ClassifyCertainBandRangeRectAvx2,
@@ -519,7 +459,6 @@ void SetClassifySimd(ClassifySimd simd) {
   }
 #endif
   (void)simd;
-  g_classify.store(&ClassifyCertainBandScalar, std::memory_order_relaxed);
   g_classify_range.store(&ClassifyCertainBandRangeScalar,
                          std::memory_order_relaxed);
   g_classify_range_rect.store(&ClassifyCertainBandRangeRectScalar,
@@ -527,7 +466,6 @@ void SetClassifySimd(ClassifySimd simd) {
 }
 
 void ResetClassifySimd() {
-  g_classify.store(nullptr, std::memory_order_relaxed);
   g_classify_range.store(nullptr, std::memory_order_relaxed);
   g_classify_range_rect.store(nullptr, std::memory_order_relaxed);
 }

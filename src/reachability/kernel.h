@@ -190,58 +190,12 @@ struct WorkerFilterSoA {
   size_t size() const { return x.size(); }
 };
 
-/// Branch-free certain-band classification of the U2U alpha filter over a
-/// list of worker indices (DESIGN.md section 9): each index i is trichotomized
-/// by comparing the squared distance from (task_x, task_y) to the worker's
-/// noisy location against the precomputed per-worker certain bounds:
-///  * accept: d_sq <= soa.accept_below_sq[i]   (certain candidate),
-///  * band:   strictly between the two bounds  (one direct eval needed),
-///  * reject: d_sq >= soa.reject_above_sq[i]   (dropped).
-/// Both outputs preserve the input order (ascending input => ascending
-/// output). Dispatches once per process through a CPUID check (DESIGN.md
-/// §11) to the widest available implementation — currently the explicit
-/// 4-lane AVX2 kernel on x86-64 hosts that support it — with the scalar
-/// loop as the bit-identical fallback everywhere else. Requires
-/// soa.accept_below_sq / soa.reject_above_sq to be filled for every listed
-/// index.
-void ClassifyCertainBand(const WorkerFilterSoA& soa, const uint32_t* indices,
-                         size_t count, double task_x, double task_y,
-                         std::vector<uint32_t>& accept,
-                         std::vector<uint32_t>& band);
-
-/// The portable reference implementation: a fixed-trip-count pass over the
-/// contiguous SoA arrays with unconditional slot writes + predicated
-/// increments (no data-dependent branches), so compilers can vectorize it.
-/// Compiled at the baseline target (no FMA contraction), which pins the
-/// rounding of d_sq = dx*dx + dy*dy — the bit-identity anchor every SIMD
-/// variant is verified against.
-void ClassifyCertainBandScalar(const WorkerFilterSoA& soa,
-                               const uint32_t* indices, size_t count,
-                               double task_x, double task_y,
-                               std::vector<uint32_t>& accept,
-                               std::vector<uint32_t>& band);
-
-#if defined(SCGUARD_HAVE_AVX2)
-/// Explicit 4-lane AVX2 kernel (kernel_avx2.cc, the only TU built with
-/// -mavx2): gathers x/y/bounds through the index vector, evaluates the
-/// trichotomy as explicit mul/mul/add (never FMA — -mavx2 does not enable
-/// it — so lane rounding equals the scalar loop's), and left-packs
-/// surviving lane indices with a shuffle LUT. Bit-identical outputs to
-/// ClassifyCertainBandScalar for any input; only callable on AVX2 CPUs.
-/// Worker indices must be < 2^31 (vpgatherdpd treats them as signed).
-void ClassifyCertainBandAvx2(const WorkerFilterSoA& soa,
-                             const uint32_t* indices, size_t count,
-                             double task_x, double task_y,
-                             std::vector<uint32_t>& accept,
-                             std::vector<uint32_t>& band);
-#endif  // SCGUARD_HAVE_AVX2
-
-/// The pruning grid's member rows (DESIGN.md §13): the per-worker columns
-/// the U2U filter reads, laid out in an index::GridIndex's CSR cell order
+/// The U2U grid's member rows (DESIGN.md §13): the per-worker columns the
+/// U2U filter reads, laid out in an index::GridIndex's CSR cell order
 /// (including the per-slice headroom rows), so a cell's members are one
-/// contiguous run instead of a scattered gather through `indices`. `id` is
-/// the engine worker index; `expanded_r` is the pruner's expanded rectangle
-/// radius, so boundary cells can fuse the rectangle admission test with the
+/// contiguous run. `id` is the engine worker index; `expanded_r` is the
+/// expanded rectangle radius (reach radius plus the pruning pad, which is 0
+/// without pruning), so boundary cells can fuse the rectangle admission test with the
 /// band classification. Rows outside the grid's live slices are headroom
 /// with unspecified contents. Owned and mutated only by the grid.
 struct CellRows {
@@ -263,14 +217,21 @@ struct CellRows {
   size_t size() const { return id.size(); }
 };
 
-/// ClassifyCertainBand over the contiguous rows [begin, begin+count)
-/// instead of a gathered index list: same trichotomy, same rounding (no
-/// FMA), but every load is sequential. **Appends** the surviving rows' `id`
-/// values to `accept` / `band` (existing contents are preserved — the
-/// pruned scan accumulates several cells into one output), in row order,
-/// which for a live index slice is ascending id order. Dispatches through
-/// the same CPUID mechanism as ClassifyCertainBand; bit-identical decisions
-/// to running the scalar gather loop over the same workers.
+/// Branch-free certain-band classification of the U2U alpha filter over
+/// the contiguous cell rows [begin, begin+count) (DESIGN.md §11, §13): each
+/// row is trichotomized by comparing the squared distance from
+/// (task_x, task_y) to the worker's noisy location against its precomputed
+/// certain bounds:
+///  * accept: d_sq <= accept_below_sq   (certain candidate),
+///  * band:   strictly between the two bounds  (one direct eval needed),
+///  * reject: d_sq >= reject_above_sq   (dropped).
+/// **Appends** the surviving rows' `id` values to `accept` / `band`
+/// (existing contents are preserved — the U2U walk accumulates several
+/// cells into one output), in row order, which for a live index slice is
+/// ascending id order. Dispatches once per process through a CPUID check to
+/// the widest available implementation — the explicit 4-lane AVX2 kernel
+/// on x86-64 hosts that support it — with the scalar loop as the
+/// bit-identical fallback everywhere else.
 void ClassifyCertainBandRange(const CellRows& m, size_t begin,
                               size_t count, double task_x, double task_y,
                               std::vector<uint32_t>& accept,
@@ -293,9 +254,11 @@ size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
                                     std::vector<uint32_t>& accept,
                                     std::vector<uint32_t>& band);
 
-/// Portable reference implementations (bit-identity anchors; same
-/// unconditional-write/predicated-increment discipline as
-/// ClassifyCertainBandScalar).
+/// Portable reference implementations: fixed-trip-count passes with
+/// unconditional slot writes and predicated increments (no data-dependent
+/// branches), compiled at the baseline target (no FMA contraction), which
+/// pins the rounding of d_sq = dx*dx + dy*dy — the bit-identity anchors the
+/// AVX2 variants are verified against (tests/mirror_test.cc).
 void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
                                     size_t count, double task_x,
                                     double task_y,
@@ -307,10 +270,11 @@ size_t ClassifyCertainBandRangeRectScalar(
     double q_max_y, std::vector<uint32_t>& accept, std::vector<uint32_t>& band);
 
 #if defined(SCGUARD_HAVE_AVX2)
-/// 4-lane AVX2 range variants (kernel_avx2.cc): contiguous _mm256_loadu_pd
-/// column loads replace the index gathers, ids left-pack through the same
-/// shuffle LUT as ClassifyCertainBandAvx2. Bit-identical outputs to the
-/// scalar range loops; only callable on AVX2 CPUs.
+/// 4-lane AVX2 variants (kernel_avx2.cc, the only TU built with -mavx2):
+/// contiguous _mm256_loadu_pd column loads, the trichotomy as explicit
+/// mul/mul/add (never FMA, so lane rounding equals the scalar loop's), and
+/// surviving ids left-packed through a shuffle LUT. Bit-identical outputs to
+/// the scalar loops; only callable on AVX2 CPUs.
 void ClassifyCertainBandRangeAvx2(const CellRows& m, size_t begin,
                                   size_t count, double task_x, double task_y,
                                   std::vector<uint32_t>& accept,
@@ -321,20 +285,20 @@ size_t ClassifyCertainBandRangeRectAvx2(
     double q_max_y, std::vector<uint32_t>& accept, std::vector<uint32_t>& band);
 #endif  // SCGUARD_HAVE_AVX2
 
-/// Which ClassifyCertainBand implementation the dispatcher resolves to.
+/// Which implementation the range-kernel dispatcher resolves to.
 enum class ClassifySimd { kScalar, kAvx2 };
 
 /// True when the running CPU reports AVX2 (always false off x86).
 bool CpuSupportsAvx2();
 
-/// The implementation the next ClassifyCertainBand call will run (resolves
+/// The implementation the next range-kernel call will run (resolves
 /// the lazy CPUID dispatch if it has not happened yet).
 ClassifySimd ActiveClassifySimd();
 
 /// Forces the dispatch (test/bench support). Requests for kAvx2 fall back
 /// to scalar when the binary or CPU lacks AVX2 — check ActiveClassifySimd
-/// afterwards. Not synchronized against in-flight ClassifyCertainBand
-/// calls; switch only between scans.
+/// afterwards. Not synchronized against in-flight range-kernel calls;
+/// switch only between scans.
 void SetClassifySimd(ClassifySimd simd);
 
 /// Restores CPUID auto-dispatch after a SetClassifySimd override.

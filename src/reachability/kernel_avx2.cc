@@ -1,9 +1,10 @@
-// Explicit 4-lane AVX2 implementation of ClassifyCertainBand. This is the
-// only translation unit compiled with -mavx2 (see CMakeLists.txt); the
-// dispatcher in kernel.cc only calls in here after a runtime CPUID check,
-// so the rest of the binary stays runnable on baseline x86-64.
+// Explicit 4-lane AVX2 implementations of the U2U range kernels
+// ClassifyCertainBandRange{,Rect}. This is the only translation unit
+// compiled with -mavx2 (see CMakeLists.txt); the dispatcher in kernel.cc
+// only calls in here after a runtime CPUID check, so the rest of the binary
+// stays runnable on baseline x86-64.
 //
-// Bit-identity contract with ClassifyCertainBandScalar (DESIGN.md §11):
+// Bit-identity contract with the scalar range loops (DESIGN.md §11):
 //  * d_sq is computed as explicit sub/mul/mul/add intrinsics. -mavx2 does
 //    not enable FMA, so neither this TU nor the scalar one can contract
 //    dx*dx + dy*dy — both round each operation to double, giving the same
@@ -12,8 +13,8 @@
 //    accept = d_sq <= accept_sq (LE_OQ), band = !accept && d_sq < reject_sq
 //    (andnot + LT_OQ). Ordered-quiet compares return false on NaN, matching
 //    the scalar comparisons.
-//  * Surviving lane indices are left-packed in lane order, so output order
-//    equals the scalar loop's input-order emission.
+//  * Surviving lane ids are left-packed in lane order, so output order
+//    equals the scalar loop's row-order emission.
 
 #include "reachability/kernel.h"
 
@@ -61,91 +62,15 @@ inline __m128i PackControl(int mask) {
       reinterpret_cast<const __m128i*>(kPack[static_cast<size_t>(mask)].data()));
 }
 
-/// Full-mask gather. The plain _mm256_i32gather_pd expands to an undefined
-/// pass-through source in GCC's intrinsic header, which -Wmaybe-uninitialized
-/// rejects under -Werror; an all-true masked gather with a zeroed source is
-/// the same load with defined inputs.
-inline __m256d GatherPd(const double* base, __m128i idx) {
-  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx,
-                                  _mm256_castsi256_pd(_mm256_set1_epi64x(-1)),
-                                  8);
-}
-
 }  // namespace
-
-void ClassifyCertainBandAvx2(const WorkerFilterSoA& soa,
-                             const uint32_t* indices, size_t count,
-                             double task_x, double task_y,
-                             std::vector<uint32_t>& accept,
-                             std::vector<uint32_t>& band) {
-  accept.resize(count);
-  band.resize(count);
-  const double* const x = soa.x.data();
-  const double* const y = soa.y.data();
-  const double* const accept_sq = soa.accept_below_sq.data();
-  const double* const reject_sq = soa.reject_above_sq.data();
-  uint32_t* const accept_out = accept.data();
-  uint32_t* const band_out = band.data();
-  size_t num_accept = 0;
-  size_t num_band = 0;
-
-  const __m256d tx = _mm256_set1_pd(task_x);
-  const __m256d ty = _mm256_set1_pd(task_y);
-  size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(indices + k));
-    const __m256d wx = GatherPd(x, idx);
-    const __m256d wy = GatherPd(y, idx);
-    const __m256d lo = GatherPd(accept_sq, idx);
-    const __m256d hi = GatherPd(reject_sq, idx);
-    const __m256d dx = _mm256_sub_pd(wx, tx);
-    const __m256d dy = _mm256_sub_pd(wy, ty);
-    // Explicit mul/mul/add — never fused, matching the scalar rounding.
-    const __m256d d_sq =
-        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-    const __m256d is_accept = _mm256_cmp_pd(d_sq, lo, _CMP_LE_OQ);
-    const __m256d is_band =
-        _mm256_andnot_pd(is_accept, _mm256_cmp_pd(d_sq, hi, _CMP_LT_OQ));
-    const int accept_mask = _mm256_movemask_pd(is_accept);
-    const int band_mask = _mm256_movemask_pd(is_band);
-    // Left-packed compress-store; the 16-byte store never overruns because
-    // num_accept <= k and k + 4 <= count == capacity (same for band).
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(accept_out + num_accept),
-                     _mm_shuffle_epi8(idx, PackControl(accept_mask)));
-    num_accept += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(accept_mask)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(band_out + num_band),
-                     _mm_shuffle_epi8(idx, PackControl(band_mask)));
-    num_band += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(band_mask)));
-  }
-  // Scalar tail, identical to ClassifyCertainBandScalar's loop body. (This
-  // TU has no FMA either, so the tail rounds the same way.)
-  for (; k < count; ++k) {
-    const uint32_t i = indices[k];
-    const double dx = x[i] - task_x;
-    const double dy = y[i] - task_y;
-    const double d_sq = dx * dx + dy * dy;
-    const bool in_accept = d_sq <= accept_sq[i];
-    const bool in_band = (d_sq > accept_sq[i]) & (d_sq < reject_sq[i]);
-    accept_out[num_accept] = i;
-    num_accept += in_accept ? 1 : 0;
-    band_out[num_band] = i;
-    num_band += in_band ? 1 : 0;
-  }
-  accept.resize(num_accept);
-  band.resize(num_band);
-}
 
 void ClassifyCertainBandRangeAvx2(const CellRows& m, size_t begin,
                                   size_t count, double task_x, double task_y,
                                   std::vector<uint32_t>& accept,
                                   std::vector<uint32_t>& band) {
-  // The range twin of ClassifyCertainBandAvx2: the four vpgatherdpd turn
-  // into contiguous loadu_pd streams over the cell-row columns, and the id
-  // vector is loaded (not synthesized from an index list). Same compares,
-  // same left-pack, same no-FMA rounding, append semantics.
+  // Contiguous loadu_pd streams over the cell-row columns, the id vector
+  // loaded alongside; the surviving ids left-pack through kPack. Append
+  // semantics.
   const size_t accept_base = accept.size();
   const size_t band_base = band.size();
   accept.resize(accept_base + count);

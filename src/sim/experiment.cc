@@ -30,6 +30,7 @@ AggregatedMetrics Aggregate(const std::vector<assign::RunMetrics>& runs) {
     agg.u2u_seconds += m.u2u_seconds;
     agg.u2e_seconds += m.u2e_seconds;
     agg.e2e_seconds += m.e2e_seconds;
+    agg.accuracy_seconds += m.accuracy_seconds;
     agg.total_seconds += m.total_seconds;
     agg.u2u_scanned += static_cast<double>(m.u2u_scanned);
     agg.u2u_scanned_first_task += static_cast<double>(m.u2u_scanned_first_task);
@@ -52,6 +53,7 @@ AggregatedMetrics Aggregate(const std::vector<assign::RunMetrics>& runs) {
   agg.u2u_seconds /= n;
   agg.u2e_seconds /= n;
   agg.e2e_seconds /= n;
+  agg.accuracy_seconds /= n;
   agg.total_seconds /= n;
   agg.u2u_scanned /= n;
   agg.u2u_scanned_first_task /= n;

@@ -42,14 +42,15 @@ struct AggregatedMetrics {
   double u2u_seconds = 0;        ///< Total U2U scan wall-clock per run.
   double u2e_seconds = 0;        ///< Total U2E wall-clock per run.
   double e2e_seconds = 0;        ///< Total E2E wall-clock per run.
+  double accuracy_seconds = 0;   ///< Observer accuracy scan per run.
   double total_seconds = 0;
-  /// U2U scan-work decay under active-set compaction (DESIGN.md §9):
+  /// U2U scan-work decay as matched workers leave the grid (DESIGN.md §9):
   /// workers scored in total / by the first task / by the last task, each
   /// averaged over seeds.
   double u2u_scanned = 0;
   double u2u_scanned_first_task = 0;
   double u2u_scanned_last_task = 0;
-  /// Grid-pruner cell certification per run (zero without a grid pruner;
+  /// Pruning-grid cell certification per run (zero without pruning;
   /// DESIGN.md §11), averaged over seeds.
   double cells_bulk_accepted = 0;
   double cells_skipped = 0;

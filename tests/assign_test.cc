@@ -355,8 +355,9 @@ TEST(EngineTest, PruningPreservesResultsAtHighGamma) {
   }
 }
 
-// The run's wall clock splits into stage setup and the three per-task
-// stages, each timed over its own interval inside the run.
+// The run's wall clock splits into stage setup, the three per-task stages
+// and the observer-only accuracy scan, each timed over its own interval
+// inside the run.
 TEST(EngineTest, StageTimesAreMeasuredAndFitTheTotal) {
   const Workload w = NoisyUniformWorkload(100, 22);
   AlgorithmParams params;
@@ -364,13 +365,30 @@ TEST(EngineTest, StageTimesAreMeasuredAndFitTheTotal) {
   params.task_params = kDefault;
   params.pruning_gamma = 0.9;
   MatcherHandle pruned = MakeProbabilisticModel(params);
-  stats::Rng rng(23);
-  const RunMetrics m = pruned.Run(w, rng).metrics;
-  ASSERT_GT(m.assigned_tasks, 0);  // E2E ran.
-  EXPECT_GT(m.setup_seconds, 0.0);
-  EXPECT_GT(m.e2e_seconds, 0.0);
-  EXPECT_LE(m.setup_seconds + m.u2u_seconds + m.u2e_seconds + m.e2e_seconds,
-            m.total_seconds);
+  ASSERT_NE(pruned.matcher, nullptr);
+  for (const bool accuracy : {true, false}) {
+    // MakeProbabilisticModel turns the accuracy scan on; the off case runs
+    // the same policy with it off.
+    EnginePolicy policy =
+        dynamic_cast<const ScGuardEngine&>(*pruned.matcher).policy();
+    policy.compute_accuracy_metrics = accuracy;
+    ScGuardEngine engine(policy);
+    stats::Rng rng(23);
+    const RunMetrics m = engine.Run(w, rng).metrics;
+    ASSERT_GT(m.assigned_tasks, 0);  // E2E ran.
+    EXPECT_GT(m.setup_seconds, 0.0);
+    EXPECT_GT(m.e2e_seconds, 0.0);
+    if (accuracy) {
+      EXPECT_GT(m.accuracy_seconds, 0.0);
+      EXPECT_GT(m.precision_count, 0);
+    } else {
+      EXPECT_EQ(m.accuracy_seconds, 0.0);
+    }
+    EXPECT_LE(m.setup_seconds + m.u2u_seconds + m.u2e_seconds +
+                  m.e2e_seconds + m.accuracy_seconds,
+              m.total_seconds)
+        << "accuracy=" << accuracy;
+  }
 }
 
 TEST(EngineTest, EmptyWorkloads) {

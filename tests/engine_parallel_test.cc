@@ -1,9 +1,9 @@
-// Thread-count / shard-size invariance of the engine's sharded U2U scan
-// (DESIGN.md section 9), the active-set compaction it runs on, and the
-// removal support it leans on in the index layer. The determinism contract
-// under test: for a fixed policy and workload, MatchResult and the caller's
-// RNG stream are bit-identical for every (pool, shard_size) combination —
-// and equal to the naive oracle's full scan (tests/oracle.h).
+// Runtime-knob invariance of the engine's U2U grid walk (DESIGN.md section
+// 9), the active set it runs on (matched workers leave the grid), and the
+// removal support it leans on in the index layer. The walk is serial; the
+// contract under test: for a fixed policy and workload, MatchResult and the
+// caller's RNG stream are bit-identical for every (pool, shard_size)
+// setting — and equal to the naive oracle's full scan (tests/oracle.h).
 
 #include <gtest/gtest.h>
 
@@ -83,8 +83,8 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
 }
 
 // Nested use: Run invoked from inside a pool worker (as ExperimentRunner's
-// seed fan-out does) must fall back to a serial scan, not deadlock, and
-// still produce the identical result.
+// seed fan-out does) must not deadlock and must produce the identical
+// result.
 TEST(EngineParallelTest, NestedInsidePoolWorkerFallsBackSerially) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(150, 99);
@@ -112,10 +112,10 @@ TEST(EngineParallelTest, NestedInsidePoolWorkerFallsBackSerially) {
   oracle::ExpectSameResult(expected, nested, "nested-in-pool");
 }
 
-// Active-set compaction is an optimization, not a semantic change: the
+// The active set is an optimization, not a semantic change: the unpruned
 // engine must agree with the oracle's rescan of every available worker on
-// every decision, and the scan work per task must shrink as workers get
-// matched.
+// every decision, its first task must scan every worker, and the scan work
+// per task must shrink as workers get matched.
 TEST(EngineParallelTest, ActiveSetMatchesFullScanAndShrinksWork) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(400, 11);
@@ -223,118 +223,57 @@ TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
   EXPECT_EQ(pruner.Candidates(probe), before);
 }
 
-// ---- SIMD classification kernel (ISSUE 6 tentpole c) ---------------------
-
-/// A SoA whose certain bounds cover every trichotomy shape:
-///  * mode 0: random bounds (mixed accept / band / reject),
-///  * mode 1: empty band (accept_sq == reject_sq — nothing is "in band"),
-///  * mode 2: all-accept (accept bound above any possible d_sq),
-///  * mode 3: all-reject (accept_sq = -1, reject_sq = 0).
-reachability::WorkerFilterSoA ClassifierSoA(size_t n, int mode,
-                                            stats::Rng& rng) {
-  reachability::WorkerFilterSoA soa;
-  soa.Resize(n);
-  soa.accept_below_sq.resize(n);
-  soa.reject_above_sq.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    soa.x[i] = rng.UniformDouble(0.0, 20000.0);
-    soa.y[i] = rng.UniformDouble(0.0, 20000.0);
-    soa.reach_radius_m[i] = rng.UniformDouble(1000.0, 3000.0);
-    switch (mode) {
-      case 0: {
-        const double accept = rng.UniformDouble(0.0, 10000.0);
-        soa.accept_below_sq[i] = accept * accept;
-        const double reject = accept + rng.UniformDouble(0.0, 8000.0);
-        soa.reject_above_sq[i] = reject * reject;
-        break;
-      }
-      case 1: {
-        const double edge = rng.UniformDouble(0.0, 15000.0);
-        soa.accept_below_sq[i] = edge * edge;
-        soa.reject_above_sq[i] = edge * edge;
-        break;
-      }
-      case 2:
-        soa.accept_below_sq[i] = 1e18;
-        soa.reject_above_sq[i] = 2e18;
-        break;
-      default:
-        soa.accept_below_sq[i] = -1.0;
-        soa.reject_above_sq[i] = 0.0;
-        break;
-    }
-  }
-  return soa;
-}
-
-#if defined(SCGUARD_HAVE_AVX2)
-// The AVX2 kernel must agree with the scalar reference bit for bit: same
-// surviving indices in the same order, for vector-unaligned counts (tail
-// loop), the empty set, and degenerate all-accept / all-reject / empty-band
-// bound shapes.
-TEST(ClassifyKernelTest, Avx2MatchesScalarBitIdentically) {
-  if (!reachability::CpuSupportsAvx2()) {
-    GTEST_SKIP() << "host CPU lacks AVX2";
-  }
-  stats::Rng rng(20260809);
-  for (const size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                             size_t{4}, size_t{5}, size_t{7}, size_t{8},
-                             size_t{13}, size_t{16}, size_t{33}, size_t{64},
-                             size_t{257}}) {
-    for (int mode = 0; mode < 4; ++mode) {
-      const auto soa = ClassifierSoA(count, mode, rng);
-      std::vector<uint32_t> indices(count);
-      for (size_t i = 0; i < count; ++i) {
-        indices[i] = static_cast<uint32_t>(i);
-      }
-      const double tx = rng.UniformDouble(0.0, 20000.0);
-      const double ty = rng.UniformDouble(0.0, 20000.0);
-      std::vector<uint32_t> accept_s, band_s, accept_v, band_v;
-      reachability::ClassifyCertainBandScalar(soa, indices.data(), count, tx,
-                                              ty, accept_s, band_s);
-      reachability::ClassifyCertainBandAvx2(soa, indices.data(), count, tx, ty,
-                                            accept_v, band_v);
-      const std::string label =
-          "count=" + std::to_string(count) + " mode=" + std::to_string(mode);
-      EXPECT_EQ(accept_s, accept_v) << label;
-      EXPECT_EQ(band_s, band_v) << label;
-      if (mode == 1) {
-        EXPECT_TRUE(band_v.empty()) << label;
-      }
-      if (mode == 2) {
-        EXPECT_EQ(accept_v.size(), count) << label;
-      }
-      if (mode == 3) {
-        EXPECT_TRUE(accept_v.empty()) << label;
-        EXPECT_TRUE(band_v.empty()) << label;
-      }
-    }
-  }
-}
-#endif  // SCGUARD_HAVE_AVX2
+// ---- SIMD dispatch of the range kernels ----------------------------------
 
 // Forcing the dispatcher to scalar must take effect regardless of the host
 // CPU (CI runs this everywhere), an AVX2 request must fall back to scalar
-// on hosts without it, and ResetClassifySimd must restore auto-dispatch.
+// on hosts without it, and ResetClassifySimd must restore auto-dispatch —
+// with both range kernels returning the scalar loops' outputs throughout.
 TEST(ClassifyKernelTest, DispatchOverrideAndReset) {
   stats::Rng rng(7);
-  const auto soa = ClassifierSoA(37, /*mode=*/0, rng);
-  std::vector<uint32_t> indices(37);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    indices[i] = static_cast<uint32_t>(i);
+  const size_t n = 37;  // Not a multiple of the vector width.
+  reachability::CellRows rows;
+  rows.Resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows.id[i] = static_cast<uint32_t>(i);
+    rows.x[i] = rng.UniformDouble(0.0, 20000.0);
+    rows.y[i] = rng.UniformDouble(0.0, 20000.0);
+    rows.expanded_r[i] = rng.UniformDouble(500.0, 4000.0);
+    const double accept = rng.UniformDouble(0.0, 10000.0);
+    const double reject = accept + rng.UniformDouble(0.0, 8000.0);
+    rows.accept_below_sq[i] = accept * accept;
+    rows.reject_above_sq[i] = reject * reject;
   }
-  std::vector<uint32_t> accept_ref, band_ref;
-  reachability::ClassifyCertainBandScalar(soa, indices.data(), indices.size(),
-                                          123.0, 456.0, accept_ref, band_ref);
+  const double tx = 123.0, ty = 456.0;
+  const double q_min = 0.0, q_max = 8000.0;
+  std::vector<uint32_t> accept_ref, band_ref, rect_accept_ref, rect_band_ref;
+  reachability::ClassifyCertainBandRangeScalar(rows, 0, n, tx, ty, accept_ref,
+                                               band_ref);
+  const size_t admitted_ref = reachability::ClassifyCertainBandRangeRectScalar(
+      rows, 0, n, tx, ty, q_min, q_min, q_max, q_max, rect_accept_ref,
+      rect_band_ref);
+  ASSERT_FALSE(accept_ref.empty());
+  ASSERT_LT(admitted_ref, n);
+  const auto expect_dispatch_matches = [&](const std::string& label) {
+    std::vector<uint32_t> accept, band;
+    reachability::ClassifyCertainBandRange(rows, 0, n, tx, ty, accept, band);
+    EXPECT_EQ(accept, accept_ref) << label;
+    EXPECT_EQ(band, band_ref) << label;
+    accept.clear();
+    band.clear();
+    EXPECT_EQ(reachability::ClassifyCertainBandRangeRect(
+                  rows, 0, n, tx, ty, q_min, q_min, q_max, q_max, accept,
+                  band),
+              admitted_ref)
+        << label;
+    EXPECT_EQ(accept, rect_accept_ref) << label;
+    EXPECT_EQ(band, rect_band_ref) << label;
+  };
 
   reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
   EXPECT_EQ(reachability::ActiveClassifySimd(),
             reachability::ClassifySimd::kScalar);
-  std::vector<uint32_t> accept, band;
-  reachability::ClassifyCertainBand(soa, indices.data(), indices.size(), 123.0,
-                                    456.0, accept, band);
-  EXPECT_EQ(accept, accept_ref);
-  EXPECT_EQ(band, band_ref);
+  expect_dispatch_matches("forced scalar");
 
   reachability::SetClassifySimd(reachability::ClassifySimd::kAvx2);
 #if defined(SCGUARD_HAVE_AVX2)
@@ -346,17 +285,15 @@ TEST(ClassifyKernelTest, DispatchOverrideAndReset) {
 #endif
   EXPECT_EQ(reachability::ActiveClassifySimd(), expected_simd);
   // Whatever the dispatch resolved to, the output contract is the same.
-  reachability::ClassifyCertainBand(soa, indices.data(), indices.size(), 123.0,
-                                    456.0, accept, band);
-  EXPECT_EQ(accept, accept_ref);
-  EXPECT_EQ(band, band_ref);
+  expect_dispatch_matches("avx2 request");
 
   reachability::ResetClassifySimd();
+  expect_dispatch_matches("auto dispatch");
 }
 
 // Engine-level SIMD invariance: a full protocol run under forced-scalar and
 // forced-AVX2 dispatch produces the identical MatchResult and RNG stream,
-// with the pruner both off and on (the two paths that feed the classifier).
+// with the pruner both off (the all-admitting walk) and on.
 TEST(EngineParallelTest, SimdDispatchRunInvariance) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(250, 20260807);

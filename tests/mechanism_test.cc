@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "geo/point.h"
-#include "privacy/geo_ind.h"
 #include "privacy/location_set.h"
 #include "privacy/planar_laplace.h"
 #include "privacy/privacy_params.h"
@@ -47,17 +46,13 @@ PrivacyParams GridParams(MechanismKind kind, int grid_cells = 12) {
 TEST(PlanarLaplaceMechanismTest, BitIdenticalToLegacySampleStreams) {
   const PrivacyParams p{kEps, kRadius};
   const PlanarLaplaceMechanism adapter(p);
-  const GeoIndMechanism legacy(p);
   const PlanarLaplace inline_laplace(p.unit_epsilon());
 
-  stats::Rng rng_adapter(991), rng_legacy(991), rng_inline(991);
+  stats::Rng rng_adapter(991), rng_inline(991);
   for (int i = 0; i < 1000; ++i) {
     const geo::Point x{100.0 * i, -37.5 * i};
     const geo::Point a = adapter.Perturb(x, rng_adapter);
-    const geo::Point b = legacy.Perturb(x, rng_legacy);
     const geo::Point c = x + inline_laplace.Sample(rng_inline);
-    EXPECT_EQ(a.x, b.x);
-    EXPECT_EQ(a.y, b.y);
     EXPECT_EQ(a.x, c.x);
     EXPECT_EQ(a.y, c.y);
   }

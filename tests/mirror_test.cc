@@ -1,6 +1,6 @@
-// The pruning grid's cell-major scoring rows (DESIGN.md section 13):
-// bit-identity of the pruned Collect path against the naive oracle's
-// rectangle-and-direct-eval loop (tests/oracle.h) across models, SIMD
+// The U2U grid's cell-major scoring rows (DESIGN.md section 13):
+// bit-identity of the Collect walk, pruned and unpruned, against the naive
+// oracle's rectangle-and-direct-eval loop (tests/oracle.h) across models, SIMD
 // dispatch, and thread pools; row and aggregate consistency under index
 // churn; and the range classification kernels against their scalar
 // references. (The suites keep the names of the scoring mirror that the
@@ -108,7 +108,7 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
         for (const auto& pool : pools) {
           EnginePolicy policy = base;
           policy.runtime.pool = pool.get();
-          policy.runtime.shard_size = 64;  // Multiple chunks per task.
+          policy.runtime.shard_size = 64;  // Must change nothing.
           if (force_scalar) {
             reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
           }
@@ -328,12 +328,15 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
   }
 }
 
-// Stage-level churn: the pruned stage and the oracle's naive U2U loop,
-// driven through the same AddWorker / Collect / MarkMatched /
-// UpdateWorkerLocation / MarkAvailable sequence, must emit identical
+// Stage-level churn: the stage, pruned and unpruned, and the oracle's
+// naive U2U loop, driven through the same AddWorker / Collect / MarkMatched
+// / UpdateWorkerLocation / MarkAvailable sequence, must emit identical
 // candidate lists and scan accounting throughout — including for
-// registrations with non-finite locations, which both must reject.
-TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
+// registrations with non-finite locations, which all must reject. The
+// unpruned stage's all-admitting walk refuses a non-finite row at the
+// rectangle test, so its scanned count is the oracle's minus the available
+// non-finite workers.
+void RunStageChurnAgainstOracle(bool prune) {
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
@@ -341,13 +344,15 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
   U2uCandidateStage::Config config;
   config.model = &model;
   config.alpha = 0.1;
-  config.pruning = U2uCandidateStage::Pruning{
-      0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
+  if (prune) {
+    config.pruning = U2uCandidateStage::Pruning{
+        0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
+  }
   U2uCandidateStage on(config);
   EnginePolicy policy;
   policy.u2u_model = &model;
   policy.alpha = 0.1;
-  policy.pruning_gamma = 0.9;
+  if (prune) policy.pruning_gamma = 0.9;
   policy.worker_params = kDefault;
   policy.task_params = kDefault;
   const oracle::NaiveU2u off(policy, region);
@@ -393,10 +398,21 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
         off.Collect(locs, radii, matched, task, &scanned_off);
     const std::string label = "step " + std::to_string(step);
     EXPECT_EQ(got_on, got_off) << label;
-    EXPECT_EQ(on.stats().scanned_last, scanned_off) << label;
-    EXPECT_EQ(on.stats().scanned_last + on.stats().pruned_last,
-              static_cast<int64_t>(n))
-        << label;
+    if (prune) {
+      EXPECT_EQ(on.stats().scanned_last, scanned_off) << label;
+      EXPECT_EQ(on.stats().scanned_last + on.stats().pruned_last,
+                static_cast<int64_t>(n))
+          << label;
+    } else {
+      int64_t non_finite = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const bool finite = std::isfinite(locs[i].x) && std::isfinite(locs[i].y);
+        non_finite += !matched[i] && !finite ? 1 : 0;
+      }
+      EXPECT_GT(non_finite, 0) << label;
+      EXPECT_EQ(on.stats().scanned_last, scanned_off - non_finite) << label;
+      EXPECT_EQ(on.stats().pruned_last, 0) << label;
+    }
 
     if (!got_on.empty()) {
       // Match the best candidate, as the engine would.
@@ -416,6 +432,86 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
     }
   }
   EXPECT_GT(on.stats().cells_emitted_direct + on.stats().gather_bytes, 0);
+}
+
+TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
+  for (const bool prune : {true, false}) {
+    SCOPED_TRACE(prune ? "pruner=grid" : "pruner=off");
+    RunStageChurnAgainstOracle(prune);
+  }
+}
+
+// A stage holding only non-finite workers: the unpruned walk admits none of
+// them, so it scans nothing and evaluates no band, where a per-worker scan
+// would have band-evaluated each NaN row. The decision is unchanged: no
+// candidate.
+TEST(MirrorStageChurnTest, UnprunedWalkRefusesNonFiniteRows) {
+  const reachability::AnalyticalModel model(kDefault);
+  U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  U2uCandidateStage stage(config);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const geo::Point p : {geo::Point{kNan, kNan}, geo::Point{kNan, 5.0},
+                             geo::Point{kInf, kInf}, geo::Point{-kInf, 5.0}}) {
+    stage.AddWorker(p, 1500.0);
+  }
+  EXPECT_TRUE(stage.Collect({5.0, 5.0}).empty());
+  EXPECT_EQ(stage.stats().scanned_last, 0);
+  EXPECT_EQ(stage.stats().pruned_last, 0);
+  EXPECT_EQ(stage.band_evals(), 0);
+  // One finite worker next to them is scanned and accepted.
+  stage.AddWorker({10.0, 10.0}, 1500.0);
+  EXPECT_EQ(stage.Collect({5.0, 5.0}), std::vector<uint32_t>{4});
+  EXPECT_EQ(stage.stats().scanned_last, 1);
+}
+
+// One far-off worker registered before Prepare must not stretch the
+// all-admitting grid over its coordinates: it lands in a border cell, the
+// other workers keep their spread over the cells, and every decision stays
+// the scalar Decide's.
+TEST(MirrorStageChurnTest, UnprunedGridFencesOutAFarOffWorker) {
+  const reachability::AnalyticalModel model(kDefault);
+  U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  U2uCandidateStage stage(config);
+  stats::Rng rng(37);
+  const uint32_t n = 4000;
+  for (uint32_t i = 0; i < n; ++i) {
+    stage.AddWorker(
+        {rng.UniformDouble(0.0, 20000.0), rng.UniformDouble(0.0, 20000.0)},
+        1500.0);
+  }
+  stage.AddWorker({1e300, 1e300}, 1500.0);
+  stage.Prepare();
+
+  const index::UncertainRegionPruner pruner(stage.soa());
+  const index::GridIndex& grid = pruner.grid();
+  ASSERT_EQ(grid.size(), n + 1);
+  uint32_t fullest = 0;
+  const size_t cells = static_cast<size_t>(grid.cells_per_axis());
+  for (size_t slot = 0; slot < cells * cells; ++slot) {
+    fullest = std::max(fullest, grid.CellForTest(slot).count);
+  }
+  EXPECT_LE(fullest, n / 16);  // Not one cell holding every worker.
+
+  for (int q = 0; q < 8; ++q) {
+    const geo::Point task{rng.UniformDouble(0.0, 20000.0),
+                          rng.UniformDouble(0.0, 20000.0)};
+    std::vector<uint32_t> want;
+    for (uint32_t i = 0; i <= n; ++i) {
+      if (stage.soa().matched[i] == 0 && stage.Decide(i, task)) {
+        want.push_back(i);
+      }
+    }
+    const std::vector<uint32_t> got = stage.Collect(task);
+    EXPECT_EQ(got, want) << "task " << q;
+    EXPECT_EQ(stage.stats().scanned_last, static_cast<int64_t>(n) + 1 - q);
+    ASSERT_FALSE(got.empty());
+    stage.MarkMatched(got.front());
+  }
 }
 
 TEST(MirrorStageChurnTest, IncrementalRelocateMatchesFreshStage) {

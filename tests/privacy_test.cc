@@ -3,7 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "privacy/geo_ind.h"
+#include "privacy/mechanism.h"
 #include "privacy/planar_laplace.h"
 #include "privacy/privacy_params.h"
 #include "stats/rng.h"
@@ -145,12 +145,13 @@ TEST(PlanarLaplaceTest, DiskProbabilityMatchesMonteCarlo) {
 }
 
 TEST(GeoIndTest, CreateValidatesParams) {
-  EXPECT_TRUE(GeoIndMechanism::Create({0.7, 800.0}).ok());
-  EXPECT_FALSE(GeoIndMechanism::Create({0.0, 800.0}).ok());
+  EXPECT_TRUE(MakeMechanism({0.7, 800.0}).ok());
+  EXPECT_FALSE(MakeMechanism({0.0, 800.0}).ok());
+  EXPECT_FALSE(MakeMechanism({0.7, 0.0}).ok());
 }
 
 TEST(GeoIndTest, PerturbationCentersOnTrueLocation) {
-  const GeoIndMechanism mech({0.7, 800.0});
+  const PlanarLaplaceMechanism mech({0.7, 800.0});
   stats::Rng rng(4);
   const geo::Point x{1234.0, -567.0};
   geo::Point mean{0, 0};
@@ -165,10 +166,16 @@ TEST(GeoIndTest, PerturbationCentersOnTrueLocation) {
 }
 
 TEST(GeoIndTest, DistinguishabilityBound) {
-  const GeoIndMechanism mech({0.7, 800.0});
-  // At the radius of concern the bound is e^eps.
-  EXPECT_NEAR(mech.DistinguishabilityBound(800.0), std::exp(0.7), 1e-12);
-  EXPECT_DOUBLE_EQ(mech.DistinguishabilityBound(0.0), 1.0);
+  // The bound e^{eps d / r} is tight: two true locations one radius of
+  // concern apart, observed on the line through them, have densities whose
+  // ratio is exactly e^eps; for coincident locations it is 1.
+  const PrivacyParams params{0.7, 800.0};
+  const PlanarLaplace pl(params.unit_epsilon());
+  const geo::Point x1{0, 0};
+  const geo::Point x2{800, 0};
+  const geo::Point z{2000, 0};
+  EXPECT_NEAR(pl.Pdf(z - x2) / pl.Pdf(z - x1), std::exp(0.7), 1e-12);
+  EXPECT_DOUBLE_EQ(pl.Pdf(z - x1) / pl.Pdf(z - x1), 1.0);
 }
 
 // The defining Geo-I property, verified empirically: for two locations at

@@ -1,25 +1,23 @@
 // Scale bench (DESIGN.md section 9 / EXPERIMENTS.md "Scaling the engine"):
-// one ScGuardEngine run per (workers, threads, pruner) cell, measuring the
+// one serial ScGuardEngine run per (workers, pruner) cell, measuring the
 // server-stage U2U scan at production sizes — up to a million workers —
 // instead of the paper's 500. Emits BENCH_scale.json; the `u2u_seconds`
-// field carries the thread-scaling curve and the `u2u_scanned_first_task` /
+// field carries the size-scaling curve and the `u2u_scanned_first_task` /
 // `u2u_scanned_last_task` pair shows the scan work decaying as matched
-// workers leave the grid.
+// workers leave the grid. Every point records `threads: 1` and a
+// `threads=1,pruner=...` series name, the keys of the committed baseline.
 //
 // Knobs (all optional):
 //   SCGUARD_SCALE_WORKERS   comma list, default "10000,100000,1000000"
-//   SCGUARD_SCALE_THREADS   comma list, default "1,4,0" (0 = hardware)
 //   SCGUARD_SCALE_TASKS     tasks per run, default 512
 //
-// Determinism contract: every cell of one worker count sees the same
-// workload and a fresh identically-seeded Rng, and the engine's U2U grid
-// walk is thread-count invariant (tests/engine_parallel_test.cc), so the
-// assigned/travel columns must agree exactly across every row of a size —
-// only the timing columns may differ.
+// Determinism contract: both cells of one worker count see the same
+// workload and a fresh identically-seeded Rng, and pruning changes no
+// decision (tests/oracle_test.cc), so the assigned/travel columns must
+// agree exactly across the rows of a size — only the timing and scan-work
+// columns may differ.
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,36 +64,18 @@ int Main() {
 
   const std::vector<int64_t> worker_counts = ParseList(
       std::getenv("SCGUARD_SCALE_WORKERS"), "10000,100000,1000000");
-  std::vector<int64_t> thread_counts =
-      ParseList(std::getenv("SCGUARD_SCALE_THREADS"), "1,4,0");
   const int64_t num_tasks =
       ParseList(std::getenv("SCGUARD_SCALE_TASKS"), "512").front();
-  for (auto& t : thread_counts) {
-    if (t == 0) t = runtime::ThreadPool::HardwareThreads();
-  }
-  // Dedup (0 may resolve to an explicit entry), preserving order.
-  {
-    std::vector<int64_t> unique;
-    for (const int64_t t : thread_counts) {
-      if (std::find(unique.begin(), unique.end(), t) == unique.end()) {
-        unique.push_back(t);
-      }
-    }
-    thread_counts = std::move(unique);
-  }
 
   const privacy::PrivacyParams privacy_level{0.7, 800.0};
   const reachability::AnalyticalModel model(privacy_level);
   JsonSeriesWriter json("scale");
 
-  std::printf("engine scale: tasks=%lld threads={", (long long)num_tasks);
-  for (size_t i = 0; i < thread_counts.size(); ++i) {
-    std::printf("%s%lld", i > 0 ? "," : "", (long long)thread_counts[i]);
-  }
-  std::printf("} (hardware=%d)\n\n", runtime::ThreadPool::HardwareThreads());
-  std::printf("%10s %8s %7s %10s %10s %10s %12s %12s %11s %11s %11s %12s "
+  std::printf("engine scale: tasks=%lld, serial (hardware=%d)\n\n",
+              (long long)num_tasks, runtime::ThreadPool::HardwareThreads());
+  std::printf("%10s %7s %10s %10s %10s %12s %12s %11s %11s %11s %12s "
               "%11s\n",
-              "workers", "threads", "pruner", "assigned", "u2u_s", "total_s",
+              "workers", "pruner", "assigned", "u2u_s", "total_s",
               "scan_first", "scan_last", "cells_bulk", "cells_skip",
               "boundary_w", "gather_MiB", "cells_direct");
 
@@ -105,7 +85,7 @@ int Main() {
   int64_t expected_candidates = 0;
 
   for (const int64_t num_workers : worker_counts) {
-    // One workload per size, shared by every (threads, pruner) cell: the
+    // One workload per size, shared by both pruner cells: the
     // perturbation and the match Rng are seeded per run, so rows of a size
     // differ only in wall clock.
     data::WorkloadConfig wconfig;
@@ -116,61 +96,53 @@ int Main() {
         data::BeijingRegion(), wconfig, workload_rng);
     data::PerturbWorkload(privacy_level, privacy_level, workload_rng, workload);
 
-    for (const int64_t threads : thread_counts) {
-      std::unique_ptr<runtime::ThreadPool> pool;
-      if (threads > 1) {
-        pool = std::make_unique<runtime::ThreadPool>(static_cast<int>(threads));
-      }
-      for (const bool use_pruner : {false, true}) {
-        assign::EnginePolicy policy;
-        policy.u2u_model = &model;
-        policy.u2e_model = &model;
-        policy.alpha = 0.1;
-        policy.beta = 0.25;
-        policy.rank = assign::RankStrategy::kProbability;
-        policy.worker_params = privacy_level;
-        policy.task_params = privacy_level;
-        // The observer-side accuracy scan is O(workers) per task and would
-        // dominate every cell; this bench measures protocol throughput.
-        policy.compute_accuracy_metrics = false;
-        if (use_pruner) policy.pruning_gamma = 0.9;
-        policy.runtime.pool = pool.get();
-        assign::ScGuardEngine engine(std::move(policy));
+    for (const bool use_pruner : {false, true}) {
+      assign::EnginePolicy policy;
+      policy.u2u_model = &model;
+      policy.u2e_model = &model;
+      policy.alpha = 0.1;
+      policy.beta = 0.25;
+      policy.rank = assign::RankStrategy::kProbability;
+      policy.worker_params = privacy_level;
+      policy.task_params = privacy_level;
+      // The observer-side accuracy scan is O(workers) per task and would
+      // dominate every cell; this bench measures protocol throughput.
+      policy.compute_accuracy_metrics = false;
+      if (use_pruner) policy.pruning_gamma = 0.9;
+      assign::ScGuardEngine engine(std::move(policy));
 
-        stats::Rng rng(42);
-        const assign::MatchResult run = engine.Run(workload, rng);
-        const sim::AggregatedMetrics agg = sim::Aggregate({run.metrics});
-        expected_disclosures += run.metrics.requester_to_worker_msgs;
-        expected_candidates += run.metrics.candidates_sum;
+      stats::Rng rng(42);
+      const assign::MatchResult run = engine.Run(workload, rng);
+      const sim::AggregatedMetrics agg = sim::Aggregate({run.metrics});
+      expected_disclosures += run.metrics.requester_to_worker_msgs;
+      expected_candidates += run.metrics.candidates_sum;
 
-        const std::string series = StrCat(
-            "threads=", threads, ",pruner=", use_pruner ? "grid" : "off");
-        json.Add(series, static_cast<double>(num_workers), agg,
-                 {{"threads", static_cast<double>(threads)},
-                  {"pruner", use_pruner ? 1.0 : 0.0},
-                  {"u2u_gather_bytes",
-                   static_cast<double>(run.metrics.u2u_gather_bytes)},
-                  {"cells_emitted_direct",
-                   static_cast<double>(run.metrics.cells_emitted_direct)}});
-        std::printf(
-            "%10lld %8lld %7s %10lld %10.3f %10.3f %12lld %12lld %11lld "
-            "%11lld %11lld %12.1f %11lld\n",
-            (long long)num_workers, (long long)threads,
-            use_pruner ? "grid" : "off",
-            (long long)run.metrics.assigned_tasks, run.metrics.u2u_seconds,
-            run.metrics.total_seconds,
-            (long long)run.metrics.u2u_scanned_first_task,
-            (long long)run.metrics.u2u_scanned_last_task,
-            (long long)run.metrics.cells_bulk_accepted,
-            (long long)run.metrics.cells_skipped,
-            (long long)run.metrics.boundary_workers,
-            static_cast<double>(run.metrics.u2u_gather_bytes) / (1 << 20),
-            (long long)run.metrics.cells_emitted_direct);
-      }
+      const std::string series =
+          StrCat("threads=1,pruner=", use_pruner ? "grid" : "off");
+      json.Add(series, static_cast<double>(num_workers), agg,
+               {{"threads", 1.0},
+                {"pruner", use_pruner ? 1.0 : 0.0},
+                {"u2u_gather_bytes",
+                 static_cast<double>(run.metrics.u2u_gather_bytes)},
+                {"cells_emitted_direct",
+                 static_cast<double>(run.metrics.cells_emitted_direct)}});
+      std::printf(
+          "%10lld %7s %10lld %10.3f %10.3f %12lld %12lld %11lld "
+          "%11lld %11lld %12.1f %11lld\n",
+          (long long)num_workers, use_pruner ? "grid" : "off",
+          (long long)run.metrics.assigned_tasks, run.metrics.u2u_seconds,
+          run.metrics.total_seconds,
+          (long long)run.metrics.u2u_scanned_first_task,
+          (long long)run.metrics.u2u_scanned_last_task,
+          (long long)run.metrics.cells_bulk_accepted,
+          (long long)run.metrics.cells_skipped,
+          (long long)run.metrics.boundary_workers,
+          static_cast<double>(run.metrics.u2u_gather_bytes) / (1 << 20),
+          (long long)run.metrics.cells_emitted_direct);
     }
   }
   std::printf(
-      "\nwrote BENCH_scale.json (u2u_seconds = thread-scaling curve;\n"
+      "\nwrote BENCH_scale.json (u2u_seconds = size-scaling curve;\n"
       "scan_last < scan_first = matched workers left the scan)\n");
 
   if (obs::RecorderEnabled()) {

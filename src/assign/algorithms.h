@@ -39,10 +39,8 @@ struct AlgorithmParams {
   std::optional<double> pruning_gamma;  ///< Enable Sec. IV-C1 pruning.
   reachability::AnalyticalMode analytical_mode =
       reachability::AnalyticalMode::kPaperNormalApprox;
-  /// Evaluation-kernel knobs, forwarded to EnginePolicy::kernel.
+  /// U2E evaluation-kernel options, forwarded to EnginePolicy::kernel.
   reachability::KernelOptions kernel;
-  /// Parallelism knobs, forwarded to EnginePolicy::runtime.
-  EngineRuntime runtime;
 };
 
 /// GroundTruth-RR / GroundTruth-NN: the non-private Ranking upper bound

@@ -2,7 +2,6 @@
 #define SCGUARD_ASSIGN_BATCH_H_
 
 #include "assign/matcher.h"
-#include "reachability/kernel.h"
 #include "reachability/model.h"
 
 namespace scguard::assign {
@@ -26,7 +25,7 @@ class BatchMatcher final : public OnlineMatcher {
   /// Feasibility is the stage's exact threshold compare (same decisions
   /// as per-pair model evaluation, see kernel.h).
   BatchMatcher(const reachability::ReachabilityModel* model, double alpha,
-               int batch_size, reachability::KernelOptions kernel = {});
+               int batch_size);
 
   MatchResult Run(const Workload& workload, stats::Rng& rng) override;
 
@@ -38,7 +37,6 @@ class BatchMatcher final : public OnlineMatcher {
   const reachability::ReachabilityModel* model_;
   double alpha_;
   int batch_size_;
-  reachability::KernelOptions kernel_;
 };
 
 }  // namespace scguard::assign

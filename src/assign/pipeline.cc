@@ -89,8 +89,6 @@ U2uCandidateStage::Config U2uConfig(const EnginePolicy& policy,
   U2uCandidateStage::Config config;
   config.model = policy.u2u_model;
   config.alpha = policy.alpha;
-  config.kernel = policy.kernel;
-  config.runtime = policy.runtime;
   if (policy.pruning_gamma.has_value()) {
     config.pruning = U2uCandidateStage::Pruning{
         *policy.pruning_gamma, policy.pruning_backend, policy.worker_params,
@@ -109,7 +107,6 @@ void CheckPolicy(const EnginePolicy& policy) {
   SCGUARD_CHECK(policy.alpha > 0.0 && policy.alpha <= 1.0);
   SCGUARD_CHECK(policy.beta >= 0.0 && policy.beta <= 1.0);
   SCGUARD_CHECK(policy.redundancy_k >= 1);
-  SCGUARD_CHECK(policy.runtime.shard_size >= 1);
 }
 
 TaskPipeline::TaskPipeline(const EnginePolicy& policy,

@@ -21,7 +21,7 @@ struct EnginePolicy;
 
 /// Aborts on a policy no pipeline can run: a missing U2U model (or U2E
 /// model under probability ranking), alpha outside (0, 1], beta outside
-/// [0, 1], redundancy_k < 1, or shard_size < 1.
+/// [0, 1], or redundancy_k < 1.
 void CheckPolicy(const EnginePolicy& policy);
 
 /// How one task ended: its first accepting worker (the service's

@@ -69,13 +69,9 @@ struct EnginePolicy {
   privacy::PrivacyParams worker_params;
   privacy::PrivacyParams task_params;
 
-  /// Evaluation-kernel knobs (DESIGN.md section 8). Defaults keep the
-  /// bounded-error U2E LUT off.
+  /// U2E evaluation-kernel options (DESIGN.md section 8). Defaults keep
+  /// the bounded-error U2E LUT off.
   reachability::KernelOptions kernel;
-
-  /// Parallelism knobs (DESIGN.md section 9); the U2U walk is serial and
-  /// reads neither. Invariance is held by tests/oracle_test.cc.
-  EngineRuntime runtime;
 
   /// Display name override; empty derives one from model + strategy.
   std::string name;

@@ -12,9 +12,7 @@ namespace scguard::assign {
 // The threshold cache checks the model and alpha.
 U2uCandidateStage::U2uCandidateStage(Config config)
     : config_(std::move(config)),
-      thresholds_(config_.model, reachability::Stage::kU2U, config_.alpha,
-                  config_.kernel.threshold_margin) {
-}
+      thresholds_(config_.model, reachability::Stage::kU2U, config_.alpha) {}
 
 void U2uCandidateStage::ReserveWorkers(size_t n) {
   soa_.x.reserve(n);
@@ -61,8 +59,7 @@ void U2uCandidateStage::Prepare() {
   if (warm_ == n && pruner_ != nullptr) return;
 
   // Threshold prewarm: filling accept/reject_sq also memoizes the cache for
-  // every worker radius, which the band resolution relies on
-  // (AlphaThresholdCache::Lookup is the read-only path).
+  // every worker radius, so the band resolution finds them inverted.
   soa_.accept_below_sq.resize(n);
   soa_.reject_above_sq.resize(n);
   for (size_t i = warm_; i < n; ++i) {
@@ -90,23 +87,9 @@ void U2uCandidateStage::Prepare() {
 void U2uCandidateStage::ResolveBand(geo::Point task_noisy) {
   size_t kept = 0;
   for (const uint32_t i : band_) {
-    const reachability::AlphaThreshold* t =
-        thresholds_.Lookup(soa_.reach_radius_m[i]);
-    SCGUARD_CHECK(t != nullptr);
     const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-    bool is_candidate;
-    if (d <= t->accept_below_m) {
-      is_candidate = true;
-    } else if (d >= t->reject_above_m) {
-      is_candidate = false;
-    } else {
-      ++band_evals_;
-      is_candidate = config_.model->ProbReachable(reachability::Stage::kU2U,
-                                                  d, soa_.reach_radius_m[i]) >=
-                     config_.alpha;
-    }
     band_[kept] = i;
-    kept += is_candidate ? 1 : 0;
+    kept += thresholds_.IsCandidate(d, soa_.reach_radius_m[i]) ? 1u : 0u;
   }
   band_.resize(kept);
 }

@@ -13,26 +13,7 @@
 #include "reachability/kernel.h"
 #include "reachability/model.h"
 
-namespace scguard::runtime {
-class ThreadPool;
-}  // namespace scguard::runtime
-
 namespace scguard::assign {
-
-/// Stage-level parallelism knobs (DESIGN.md section 9), the per-run analog
-/// of ExperimentConfig::runtime. The U2U walk reads neither field: it runs
-/// serially, because fanning it over a pool won on no measured workload
-/// (ROADMAP item 7 has the numbers). The fields stay so that existing
-/// callers keep compiling; results are bit-identical for every
-/// (pool, shard_size) combination (held against the naive oracle in
-/// tests/oracle_test.cc).
-struct EngineRuntime {
-  /// Not owned; must outlive the stage. Not read by the U2U walk.
-  runtime::ThreadPool* pool = nullptr;
-
-  /// Must be >= 1 (EnginePolicy validation). Not read by the U2U walk.
-  int shard_size = 4096;
-};
 
 /// The server-side U2U candidate stage (paper Alg. 1/2 Lines 1-8, DESIGN.md
 /// section 10): given noisy worker registrations, answers "which available
@@ -77,11 +58,6 @@ class U2uCandidateStage {
     const reachability::ReachabilityModel* model = nullptr;
     /// U2U acceptance threshold, in (0, 1].
     double alpha = 0.1;
-    /// Kernel knobs; the U2U filter reads threshold_margin (DESIGN.md
-    /// section 8).
-    reachability::KernelOptions kernel;
-    /// Parallelism knobs (DESIGN.md section 9); not read by the walk.
-    EngineRuntime runtime;
     /// Optional pruning index over the workers' uncertainty rectangles.
     std::optional<Pruning> pruning;
   };
@@ -161,15 +137,17 @@ class U2uCandidateStage {
                ? &pruner_->grid().stats()
                : nullptr;
   }
-  /// Direct in-band model evaluations, cumulative over the stage's life.
-  int64_t band_evals() const { return band_evals_; }
+  /// Direct in-band model evaluations, cumulative over the stage's life:
+  /// Collect's band resolutions plus Decide's (BatchMatcher, Decide's only
+  /// caller, reports no band_evals).
+  int64_t band_evals() const { return thresholds_.exact_evals(); }
   /// The worker snapshot (noisy coordinates, radii, matched flags); the
   /// rank stage scores candidates straight off these arrays.
   const reachability::WorkerFilterSoA& soa() const { return soa_; }
 
  private:
   /// Resolves the in-band workers of band_ in place, keeping the
-  /// candidates (one direct evaluation each).
+  /// candidates (AlphaThresholdCache::IsCandidate each).
   void ResolveBand(geo::Point task_noisy);
 
   Config config_;
@@ -187,7 +165,6 @@ class U2uCandidateStage {
   std::vector<uint32_t> accept_;  ///< Accepted ids, unordered across cells.
   std::vector<uint32_t> band_;    ///< In-band ids, then survivors.
   std::vector<uint64_t> accept_bits_;  ///< Accept bitmap, one bit per worker.
-  int64_t band_evals_ = 0;
   Stats stats_;
 };
 

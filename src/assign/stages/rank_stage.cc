@@ -8,7 +8,7 @@ U2eRankStage::U2eRankStage(const Config& config) : config_(config) {
   if (config_.rank == RankStrategy::kProbability) {
     SCGUARD_CHECK(config_.model != nullptr);
     if (config_.kernel.u2e_lut) {
-      lut_.emplace(config_.model, reachability::Stage::kU2E, config_.kernel);
+      lut_.emplace(config_.model, reachability::Stage::kU2E);
     }
   }
 }

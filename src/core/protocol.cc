@@ -67,10 +67,8 @@ std::vector<std::pair<double, int64_t>> RequesterDevice::RankCandidates(
 // ---------------------------------------------------------------- Server
 
 TaskingServer::TaskingServer(const reachability::ReachabilityModel* model,
-                             double alpha,
-                             reachability::KernelOptions kernel)
-    : stage_({.model = model, .alpha = alpha, .kernel = kernel,
-              .runtime = {}, .pruning = std::nullopt}) {}
+                             double alpha)
+    : stage_({.model = model, .alpha = alpha, .pruning = std::nullopt}) {}
 
 void TaskingServer::RegisterWorker(const WorkerRegistration& registration) {
   worker_ids_.push_back(registration.worker_id);

@@ -110,9 +110,8 @@ class TaskingServer {
  public:
   /// `alpha` is the U2U threshold applied to `model` probabilities.
   /// The filter answers via the inverted critical-distance compare (exact
-  /// decisions, see kernel.h); `kernel` supplies its threshold margin.
-  TaskingServer(const reachability::ReachabilityModel* model, double alpha,
-                reachability::KernelOptions kernel = {});
+  /// decisions, see kernel.h).
+  TaskingServer(const reachability::ReachabilityModel* model, double alpha);
 
   void RegisterWorker(const WorkerRegistration& registration);
 

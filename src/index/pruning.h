@@ -47,10 +47,11 @@ class UncertainRegionPruner {
   /// same rows with a 0 m pad (each rectangle is the worker's reach disk)
   /// over the box of the workers' finite coordinates (clipped per axis to
   /// three interquartile ranges beyond the quartiles, so a far-off worker
-  /// lands in a border cell), queried with the largest finite box. Every finite row's rectangle intersects that
-  /// box, so a walk visits every non-empty cell, every finite cell
-  /// bulk-accepts, and only a non-finite row fails the rectangle test:
-  /// nothing is pruned, and the alpha certificates do the work.
+  /// lands in a border cell), queried with the largest finite box. Every
+  /// finite row's rectangle intersects that box, so a walk visits every
+  /// non-empty cell, every finite cell bulk-accepts, and only a non-finite
+  /// row fails the rectangle test: nothing is pruned, and the alpha
+  /// certificates do the work.
   explicit UncertainRegionPruner(const reachability::WorkerFilterSoA& workers);
 
   /// Workers whose expanded rectangle intersects the task's rectangle, in
@@ -79,28 +80,22 @@ class UncertainRegionPruner {
   /// re-reports). Idempotent: a worker still stored is left alone.
   void Restore(uint32_t worker, const reachability::WorkerFilterSoA& workers);
 
-  /// The query rectangle of a task observation
-  /// (`FromCircle(task, task_confidence_radius_m)`, or the all-admitting
-  /// box of an unpruned index), which the U2U stage hands to the grid's
-  /// cell walk.
+  /// The query rectangle of a task observation (`FromCircle(task, r_R)`
+  /// with the task confidence radius r_R, or the all-admitting box of an
+  /// unpruned index), which the U2U stage hands to the grid's cell walk.
   geo::BoundingBox TaskQueryBox(geo::Point task_noisy_location) const;
 
   /// The index, whose rows the U2U stage scores directly.
   const GridIndex& grid() const { return *grid_; }
-
-  /// Confidence radius applied to worker observations (0 when unpruned).
-  double worker_confidence_radius_m() const { return r_r_worker_; }
-  /// Confidence radius applied to task observations.
-  double task_confidence_radius_m() const { return r_r_task_; }
 
  private:
   /// Indexes every worker over `grid_region`, then drops the matched ones.
   void Build(const reachability::WorkerFilterSoA& workers,
              const geo::BoundingBox& grid_region);
 
-  bool prunes_;  ///< False for the all-admitting index.
-  double r_r_worker_;
-  double r_r_task_;
+  bool prunes_;        ///< False for the all-admitting index.
+  double r_r_worker_;  ///< Worker confidence radius (0 when unpruned).
+  double r_r_task_;    ///< Task confidence radius (0 when unpruned).
   std::unique_ptr<GridIndex> grid_;
 };
 

@@ -1,7 +1,6 @@
 #include "reachability/kernel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -14,6 +13,10 @@ namespace scguard::reachability {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Initial observed-distance grid spacing of a KernelLut table; halved
+/// until the construction-time error check passes.
+constexpr double kLutStepM = 50.0;
 
 /// Search ceiling for the bisection bracket; far beyond any planar
 /// coordinate this repository produces (the Beijing region spans ~1e5 m).
@@ -138,12 +141,10 @@ AlphaThreshold InvertEmpirical(const EmpiricalTable& table, double alpha,
 }  // namespace
 
 AlphaThresholdCache::AlphaThresholdCache(const ReachabilityModel* model,
-                                         Stage stage, double alpha,
-                                         double margin)
-    : model_(model), stage_(stage), alpha_(alpha), margin_(margin) {
+                                         Stage stage, double alpha)
+    : model_(model), stage_(stage), alpha_(alpha) {
   SCGUARD_CHECK(model != nullptr);
-  SCGUARD_CHECK(alpha > 0.0 && alpha <= 1.0);
-  SCGUARD_CHECK(margin > 0.0 && margin < alpha);
+  SCGUARD_CHECK(alpha > kThresholdMargin && alpha <= 1.0);
 }
 
 const AlphaThreshold& AlphaThresholdCache::For(double reach_radius_m) {
@@ -194,24 +195,20 @@ AlphaThreshold AlphaThresholdCache::Invert(double reach_radius_m) const {
   const double initial_hi = std::max(reach_radius_m, 1.0);
 
   double accept_below_m = -1.0;
-  if (p0 >= alpha_ + margin_) {
-    accept_below_m = BisectDown(p, alpha_ + margin_, initial_hi);
+  if (p0 >= alpha_ + kThresholdMargin) {
+    accept_below_m = BisectDown(p, alpha_ + kThresholdMargin, initial_hi);
     if (accept_below_m >= kMaxSearchDistance) accept_below_m = kInf;
   }
   double reject_above_m = 0.0;
-  if (p0 > alpha_ - margin_) {
-    reject_above_m = BisectUp(p, alpha_ - margin_, initial_hi);
+  if (p0 > alpha_ - kThresholdMargin) {
+    reject_above_m = BisectUp(p, alpha_ - kThresholdMargin, initial_hi);
   }
   return MakeThreshold(accept_below_m, reject_above_m);
 }
 
-KernelLut::KernelLut(const ReachabilityModel* model, Stage stage,
-                     const KernelOptions& options)
-    : model_(model), stage_(stage), options_(options) {
+KernelLut::KernelLut(const ReachabilityModel* model, Stage stage)
+    : model_(model), stage_(stage) {
   SCGUARD_CHECK(model != nullptr);
-  SCGUARD_CHECK(options.lut_step_m > 0.0);
-  SCGUARD_CHECK(options.lut_max_abs_error > 0.0 &&
-                options.lut_max_abs_error < 1.0);
 }
 
 double KernelLut::Prob(double observed_distance_m, double reach_radius_m) {
@@ -230,7 +227,7 @@ double KernelLut::Prob(double observed_distance_m, double reach_radius_m) {
 }
 
 KernelLut::Table KernelLut::Build(double reach_radius_m) {
-  const double bound = options_.lut_max_abs_error;
+  const double bound = kLutMaxAbsError;
   const auto p = [this, reach_radius_m](double d) {
     return model_->ProbReachable(stage_, d, reach_radius_m);
   };
@@ -241,7 +238,7 @@ KernelLut::Table KernelLut::Build(double reach_radius_m) {
   double max_d = std::max(2.0 * reach_radius_m, 1000.0);
   while (p(max_d) > bound * 0.1 && max_d < 1e7) max_d *= 2.0;
 
-  double step = options_.lut_step_m;
+  double step = kLutStepM;
   for (int refinement = 0;; ++refinement) {
     Table table;
     table.step = step;
@@ -286,11 +283,10 @@ KernelLut::Table KernelLut::Build(double reach_radius_m) {
   }
 }
 
-void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
-                                    size_t count, double task_x,
-                                    double task_y,
-                                    std::vector<uint32_t>& accept,
-                                    std::vector<uint32_t>& band) {
+void ClassifyCertainBandRange(const CellRows& m, size_t begin,
+                              size_t count, double task_x, double task_y,
+                              std::vector<uint32_t>& accept,
+                              std::vector<uint32_t>& band) {
   // Append semantics: resize ahead by the worst case, shrink to the
   // survivors. Every column load is a contiguous stream through the cell
   // rows; unconditional slot writes + predicated increments keep the loop
@@ -324,11 +320,13 @@ void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
   band.resize(band_base + num_band);
 }
 
-size_t ClassifyCertainBandRangeRectScalar(
-    const CellRows& m, size_t begin, size_t count, double task_x,
-    double task_y, double q_min_x, double q_min_y, double q_max_x,
-    double q_max_y, std::vector<uint32_t>& accept,
-    std::vector<uint32_t>& band) {
+size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
+                                    size_t count, double task_x,
+                                    double task_y, double q_min_x,
+                                    double q_min_y, double q_max_x,
+                                    double q_max_y,
+                                    std::vector<uint32_t>& accept,
+                                    std::vector<uint32_t>& band) {
   const size_t accept_base = accept.size();
   const size_t band_base = band.size();
   accept.resize(accept_base + count);
@@ -363,111 +361,6 @@ size_t ClassifyCertainBandRangeRectScalar(
   accept.resize(accept_base + num_accept);
   band.resize(band_base + num_band);
   return admitted;
-}
-
-namespace {
-
-using ClassifyRangeFn = void (*)(const CellRows&, size_t, size_t,
-                                 double, double, std::vector<uint32_t>&,
-                                 std::vector<uint32_t>&);
-using ClassifyRangeRectFn = size_t (*)(const CellRows&, size_t, size_t,
-                                       double, double, double, double, double,
-                                       double, std::vector<uint32_t>&,
-                                       std::vector<uint32_t>&);
-
-/// nullptr = not resolved yet; the first call (or an explicit
-/// ActiveClassifySimd / SetClassifySimd) resolves via CPUID. Relaxed atomics
-/// suffice: every resolution writes the same value and the pointed-to
-/// functions are immutable code.
-std::atomic<ClassifyRangeFn> g_classify_range{nullptr};
-std::atomic<ClassifyRangeRectFn> g_classify_range_rect{nullptr};
-
-ClassifyRangeFn LoadOrResolveRange() {
-  ClassifyRangeFn fn = g_classify_range.load(std::memory_order_relaxed);
-  if (fn == nullptr) {
-#if defined(SCGUARD_HAVE_AVX2)
-    fn = CpuSupportsAvx2() ? &ClassifyCertainBandRangeAvx2
-                           : &ClassifyCertainBandRangeScalar;
-#else
-    fn = &ClassifyCertainBandRangeScalar;
-#endif
-    g_classify_range.store(fn, std::memory_order_relaxed);
-  }
-  return fn;
-}
-
-ClassifyRangeRectFn LoadOrResolveRangeRect() {
-  ClassifyRangeRectFn fn =
-      g_classify_range_rect.load(std::memory_order_relaxed);
-  if (fn == nullptr) {
-#if defined(SCGUARD_HAVE_AVX2)
-    fn = CpuSupportsAvx2() ? &ClassifyCertainBandRangeRectAvx2
-                           : &ClassifyCertainBandRangeRectScalar;
-#else
-    fn = &ClassifyCertainBandRangeRectScalar;
-#endif
-    g_classify_range_rect.store(fn, std::memory_order_relaxed);
-  }
-  return fn;
-}
-
-}  // namespace
-
-bool CpuSupportsAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-void ClassifyCertainBandRange(const CellRows& m, size_t begin,
-                              size_t count, double task_x, double task_y,
-                              std::vector<uint32_t>& accept,
-                              std::vector<uint32_t>& band) {
-  LoadOrResolveRange()(m, begin, count, task_x, task_y, accept, band);
-}
-
-size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
-                                    size_t count, double task_x,
-                                    double task_y, double q_min_x,
-                                    double q_min_y, double q_max_x,
-                                    double q_max_y,
-                                    std::vector<uint32_t>& accept,
-                                    std::vector<uint32_t>& band) {
-  return LoadOrResolveRangeRect()(m, begin, count, task_x, task_y, q_min_x,
-                                  q_min_y, q_max_x, q_max_y, accept, band);
-}
-
-ClassifySimd ActiveClassifySimd() {
-  const ClassifyRangeFn fn = LoadOrResolveRange();
-#if defined(SCGUARD_HAVE_AVX2)
-  if (fn == &ClassifyCertainBandRangeAvx2) return ClassifySimd::kAvx2;
-#endif
-  (void)fn;
-  return ClassifySimd::kScalar;
-}
-
-void SetClassifySimd(ClassifySimd simd) {
-#if defined(SCGUARD_HAVE_AVX2)
-  if (simd == ClassifySimd::kAvx2 && CpuSupportsAvx2()) {
-    g_classify_range.store(&ClassifyCertainBandRangeAvx2,
-                           std::memory_order_relaxed);
-    g_classify_range_rect.store(&ClassifyCertainBandRangeRectAvx2,
-                                std::memory_order_relaxed);
-    return;
-  }
-#endif
-  (void)simd;
-  g_classify_range.store(&ClassifyCertainBandRangeScalar,
-                         std::memory_order_relaxed);
-  g_classify_range_rect.store(&ClassifyCertainBandRangeRectScalar,
-                              std::memory_order_relaxed);
-}
-
-void ResetClassifySimd() {
-  g_classify_range.store(nullptr, std::memory_order_relaxed);
-  g_classify_range_rect.store(nullptr, std::memory_order_relaxed);
 }
 
 }  // namespace scguard::reachability

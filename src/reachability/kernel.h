@@ -10,32 +10,28 @@
 
 namespace scguard::reachability {
 
-/// Evaluation-kernel knobs for the protocol hot path (engine U2U filter and
-/// U2E scoring). The U2U filter always runs as an exact precomputed
-/// critical-distance compare (AlphaThresholdCache; bit-identical decisions
-/// to direct evaluation, held by tests/oracle_test.cc); the U2E LUT trades
-/// a bounded probability error for speed and must be opted into.
+/// Evaluation-kernel options for the U2E scoring path. The U2U filter has
+/// none: it always runs as an exact precomputed critical-distance compare
+/// (AlphaThresholdCache; bit-identical decisions to direct evaluation, held
+/// by tests/oracle_test.cc); the U2E LUT trades a bounded probability error
+/// for speed and must be opted into.
 struct KernelOptions {
   /// Score the U2E stage through an interpolated lookup table instead of
-  /// direct model evaluation. Bounded absolute error (lut_max_abs_error) on
+  /// direct model evaluation. Bounded absolute error (kLutMaxAbsError) on
   /// every returned probability; changes ranking only where two candidates
   /// score within the bound of each other. Off by default.
   bool u2e_lut = false;
-
-  /// Initial observed-distance grid spacing of the LUT; halved until the
-  /// construction-time error check passes.
-  double lut_step_m = 50.0;
-
-  /// Max absolute probability error the LUT is verified against.
-  double lut_max_abs_error = 1e-4;
-
-  /// Probability margin separating the certain-accept / certain-reject
-  /// regions from the direct-evaluation band of the threshold filter. Must
-  /// dominate the model's own evaluation noise around the alpha crossing
-  /// (ulp-level for the closed forms); the defaults leave nine decades of
-  /// headroom.
-  double threshold_margin = 1e-9;
 };
+
+/// Max absolute probability error every KernelLut table is verified
+/// against.
+inline constexpr double kLutMaxAbsError = 1e-4;
+
+/// Probability margin separating the certain-accept / certain-reject
+/// regions of AlphaThresholdCache from its direct-evaluation band. Must
+/// dominate the model's own evaluation noise around the alpha crossing
+/// (ulp-level for the closed forms); this leaves nine decades of headroom.
+inline constexpr double kThresholdMargin = 1e-9;
 
 /// Bit pattern of a radius, used as the memoization key (exact-value
 /// classes; quantize radii upstream to share tables across near-equal
@@ -84,28 +80,19 @@ struct AlphaThreshold {
 /// Not thread-safe (lazy memoization); use one instance per thread or run.
 class AlphaThresholdCache {
  public:
-  /// `model` must outlive the cache. Requires alpha in (0, 1].
+  /// `model` must outlive the cache. Requires alpha in
+  /// (kThresholdMargin, 1].
   AlphaThresholdCache(const ReachabilityModel* model, Stage stage,
-                      double alpha, double margin = 1e-9);
+                      double alpha);
 
   /// The inverted filter for this radius (memoized).
   const AlphaThreshold& For(double reach_radius_m);
-
-  /// Read-only lookup of an already-memoized radius; nullptr when the
-  /// radius was never inverted. Unlike For(), never mutates, so concurrent
-  /// readers may share a warmed cache — the parallel engine scan resolves
-  /// its in-band workers through this after prewarming every worker radius
-  /// (DESIGN.md section 9).
-  const AlphaThreshold* Lookup(double reach_radius_m) const {
-    const auto it = by_radius_.find(RadiusKey(reach_radius_m));
-    return it == by_radius_.end() ? nullptr : &it->second;
-  }
 
   /// Exactly `model->ProbReachable(stage, d, r) >= alpha`, via the
   /// threshold compare plus (rarely) one direct evaluation in the band.
   bool IsCandidate(double observed_distance_m, double reach_radius_m);
 
-  /// Band resolutions that required a direct model call (test support).
+  /// Band resolutions that required a direct model call.
   int64_t exact_evals() const { return exact_evals_; }
   size_t size() const { return by_radius_.size(); }
 
@@ -119,7 +106,6 @@ class AlphaThresholdCache {
   const ReachabilityModel* model_;
   Stage stage_;
   double alpha_;
-  double margin_;
   int64_t exact_evals_ = 0;
   std::unordered_map<uint64_t, AlphaThreshold> by_radius_;
 };
@@ -129,7 +115,7 @@ class AlphaThresholdCache {
 /// radius (the radius dimension is never interpolated, so the only error
 /// source is the distance grid). Each table is verified at construction —
 /// the grid is refined until both the monotone bracket bound and sampled
-/// interpolation residuals sit under KernelOptions::lut_max_abs_error —
+/// interpolation residuals sit under kLutMaxAbsError —
 /// so every Prob() return is within that bound of the direct evaluation.
 ///
 /// Worth enabling only when the number of scoring queries per distinct
@@ -139,15 +125,14 @@ class AlphaThresholdCache {
 class KernelLut {
  public:
   /// `model` must outlive the LUT.
-  KernelLut(const ReachabilityModel* model, Stage stage,
-            const KernelOptions& options);
+  KernelLut(const ReachabilityModel* model, Stage stage);
 
   /// Interpolated Pr(reachable | d, r); |result - direct| is bounded by
-  /// options.lut_max_abs_error.
+  /// kLutMaxAbsError.
   double Prob(double observed_distance_m, double reach_radius_m);
 
   /// Largest interpolation residual observed while verifying any built
-  /// table (always <= options.lut_max_abs_error).
+  /// table (always <= kLutMaxAbsError).
   double worst_verified_error() const { return worst_verified_error_; }
   size_t tables_built() const { return by_radius_.size(); }
 
@@ -164,7 +149,6 @@ class KernelLut {
 
   const ReachabilityModel* model_;
   Stage stage_;
-  KernelOptions options_;
   double worst_verified_error_ = 0.0;
   std::unordered_map<uint64_t, Table> by_radius_;
 };
@@ -228,10 +212,11 @@ struct CellRows {
 /// **Appends** the surviving rows' `id` values to `accept` / `band`
 /// (existing contents are preserved — the U2U walk accumulates several
 /// cells into one output), in row order, which for a live index slice is
-/// ascending id order. Dispatches once per process through a CPUID check to
-/// the widest available implementation — the explicit 4-lane AVX2 kernel
-/// on x86-64 hosts that support it — with the scalar loop as the
-/// bit-identical fallback everywhere else.
+/// ascending id order. A fixed-trip-count pass with unconditional slot
+/// writes and predicated increments (no data-dependent branches), compiled
+/// at the baseline target (no FMA contraction), which pins the rounding of
+/// d_sq = dx*dx + dy*dy that the grid's cell certificates bound
+/// (tests/mirror_test.cc holds it to a branchy reference).
 void ClassifyCertainBandRange(const CellRows& m, size_t begin,
                               size_t count, double task_x, double task_y,
                               std::vector<uint32_t>& accept,
@@ -253,56 +238,6 @@ size_t ClassifyCertainBandRangeRect(const CellRows& m, size_t begin,
                                     double q_max_y,
                                     std::vector<uint32_t>& accept,
                                     std::vector<uint32_t>& band);
-
-/// Portable reference implementations: fixed-trip-count passes with
-/// unconditional slot writes and predicated increments (no data-dependent
-/// branches), compiled at the baseline target (no FMA contraction), which
-/// pins the rounding of d_sq = dx*dx + dy*dy — the bit-identity anchors the
-/// AVX2 variants are verified against (tests/mirror_test.cc).
-void ClassifyCertainBandRangeScalar(const CellRows& m, size_t begin,
-                                    size_t count, double task_x,
-                                    double task_y,
-                                    std::vector<uint32_t>& accept,
-                                    std::vector<uint32_t>& band);
-size_t ClassifyCertainBandRangeRectScalar(
-    const CellRows& m, size_t begin, size_t count, double task_x,
-    double task_y, double q_min_x, double q_min_y, double q_max_x,
-    double q_max_y, std::vector<uint32_t>& accept, std::vector<uint32_t>& band);
-
-#if defined(SCGUARD_HAVE_AVX2)
-/// 4-lane AVX2 variants (kernel_avx2.cc, the only TU built with -mavx2):
-/// contiguous _mm256_loadu_pd column loads, the trichotomy as explicit
-/// mul/mul/add (never FMA, so lane rounding equals the scalar loop's), and
-/// surviving ids left-packed through a shuffle LUT. Bit-identical outputs to
-/// the scalar loops; only callable on AVX2 CPUs.
-void ClassifyCertainBandRangeAvx2(const CellRows& m, size_t begin,
-                                  size_t count, double task_x, double task_y,
-                                  std::vector<uint32_t>& accept,
-                                  std::vector<uint32_t>& band);
-size_t ClassifyCertainBandRangeRectAvx2(
-    const CellRows& m, size_t begin, size_t count, double task_x,
-    double task_y, double q_min_x, double q_min_y, double q_max_x,
-    double q_max_y, std::vector<uint32_t>& accept, std::vector<uint32_t>& band);
-#endif  // SCGUARD_HAVE_AVX2
-
-/// Which implementation the range-kernel dispatcher resolves to.
-enum class ClassifySimd { kScalar, kAvx2 };
-
-/// True when the running CPU reports AVX2 (always false off x86).
-bool CpuSupportsAvx2();
-
-/// The implementation the next range-kernel call will run (resolves
-/// the lazy CPUID dispatch if it has not happened yet).
-ClassifySimd ActiveClassifySimd();
-
-/// Forces the dispatch (test/bench support). Requests for kAvx2 fall back
-/// to scalar when the binary or CPU lacks AVX2 — check ActiveClassifySimd
-/// afterwards. Not synchronized against in-flight range-kernel calls;
-/// switch only between scans.
-void SetClassifySimd(ClassifySimd simd);
-
-/// Restores CPUID auto-dispatch after a SetClassifySimd override.
-void ResetClassifySimd();
 
 }  // namespace scguard::reachability
 

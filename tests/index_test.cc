@@ -7,6 +7,7 @@
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
+#include "privacy/mechanism.h"
 #include "reachability/kernel.h"
 #include "stats/rng.h"
 
@@ -325,6 +326,13 @@ reachability::WorkerFilterSoA MakeWorkers(size_t n, stats::Rng& rng,
   return workers;
 }
 
+/// The Geo-I confidence radius r_R at level `gamma` that sizes the
+/// pruner's rectangles.
+double ConfidenceRadius(const privacy::PrivacyParams& params, double gamma,
+                        const geo::BoundingBox& region) {
+  return privacy::MakeMechanismOrDie(params, region)->ConfidenceRadius(gamma);
+}
+
 // The grid-backed pruner against a linear scan of the pruning rectangles.
 TEST(PrunerTest, BackendsAgree) {
   stats::Rng rng(4);
@@ -334,15 +342,15 @@ TEST(PrunerTest, BackendsAgree) {
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
   const UncertainRegionPruner grid(workers, params, params, 0.9, region);
+  const double r_r = ConfidenceRadius(params, 0.9, region);
   for (int q = 0; q < 30; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
-    const geo::BoundingBox task_box =
-        geo::BoundingBox::FromCircle(task, grid.task_confidence_radius_m());
+    const geo::BoundingBox task_box = geo::BoundingBox::FromCircle(task, r_r);
+    EXPECT_EQ(grid.TaskQueryBox(task), task_box) << "query " << q;
     std::vector<uint32_t> linear;
     for (uint32_t w = 0; w < workers.size(); ++w) {
-      if (geo::BoundingBox::FromCircle(
-              {workers.x[w], workers.y[w]},
-              grid.worker_confidence_radius_m() + workers.reach_radius_m[w])
+      if (geo::BoundingBox::FromCircle({workers.x[w], workers.y[w]},
+                                       r_r + workers.reach_radius_m[w])
               .Intersects(task_box)) {
         linear.push_back(w);
       }
@@ -361,15 +369,14 @@ TEST(PrunerTest, NeverDropsOverlappingDiskPairs) {
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
   const UncertainRegionPruner pruner(workers, params, params, 0.9, region);
+  const double r_r = ConfidenceRadius(params, 0.9, region);
   for (int q = 0; q < 50; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     auto candidates = pruner.Candidates(task);
     std::sort(candidates.begin(), candidates.end());
     for (uint32_t w = 0; w < workers.size(); ++w) {
       const double gap = geo::Distance({workers.x[w], workers.y[w]}, task);
-      const double disk_sum = pruner.worker_confidence_radius_m() +
-                              workers.reach_radius_m[w] +
-                              pruner.task_confidence_radius_m();
+      const double disk_sum = r_r + workers.reach_radius_m[w] + r_r;
       if (gap <= disk_sum) {
         EXPECT_TRUE(
             std::binary_search(candidates.begin(), candidates.end(), w))
@@ -387,7 +394,10 @@ TEST(PrunerTest, ConfidenceRadiusGrowsWithGamma) {
   const privacy::PrivacyParams params{0.7, 800.0};
   const UncertainRegionPruner p50(workers, params, params, 0.5, region);
   const UncertainRegionPruner p99(workers, params, params, 0.99, region);
-  EXPECT_LT(p50.worker_confidence_radius_m(), p99.worker_confidence_radius_m());
+  const geo::Point task{500.0, 500.0};
+  const geo::BoundingBox box50 = p50.TaskQueryBox(task);
+  const geo::BoundingBox box99 = p99.TaskQueryBox(task);
+  EXPECT_LT(box50.max_x - box50.min_x, box99.max_x - box99.min_x);
 }
 
 TEST(PrunerTest, FarTaskPrunesMostWorkers) {

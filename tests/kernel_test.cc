@@ -228,9 +228,7 @@ TEST(BatchEvalTest, MatchesScalarBitForBit) {
 
 TEST(KernelLutTest, ErrorBoundHoldsAgainstDirectRice) {
   const AnalyticalModel model(kDefault);
-  KernelOptions options;
-  options.u2e_lut = true;
-  KernelLut lut(&model, Stage::kU2E, options);
+  KernelLut lut(&model, Stage::kU2E);
   // U2E under the paper model IS the Rice CDF: check the LUT against both
   // the model and an independent 1 - MarcumQ1 evaluation.
   const double sigma = std::sqrt(2.0) * kDefault.radius_m / kDefault.epsilon;
@@ -240,15 +238,15 @@ TEST(KernelLutTest, ErrorBoundHoldsAgainstDirectRice) {
       const double got = lut.Prob(d, radius);
       const double direct = model.ProbReachable(Stage::kU2E, d, radius);
       worst = std::max(worst, std::abs(got - direct));
-      ASSERT_NEAR(got, direct, options.lut_max_abs_error)
+      ASSERT_NEAR(got, direct, kLutMaxAbsError)
           << "R=" << radius << " d=" << d;
       const double marcum = stats::RiceDistribution(d, sigma).Cdf(radius);
-      ASSERT_NEAR(got, marcum, options.lut_max_abs_error)
+      ASSERT_NEAR(got, marcum, kLutMaxAbsError)
           << "R=" << radius << " d=" << d;
     }
   }
   EXPECT_EQ(lut.tables_built(), 3u);
-  EXPECT_LE(lut.worst_verified_error(), options.lut_max_abs_error);
+  EXPECT_LE(lut.worst_verified_error(), kLutMaxAbsError);
   EXPECT_GT(worst, 0.0);  // The LUT interpolates, it is not a pass-through.
 }
 

@@ -1,17 +1,15 @@
 // The U2U grid's cell-major scoring rows (DESIGN.md section 13):
 // bit-identity of the Collect walk, pruned and unpruned, against the naive
-// oracle's rectangle-and-direct-eval loop (tests/oracle.h) across models, SIMD
-// dispatch, and thread pools; row and aggregate consistency under index
-// churn; and the range classification kernels against their scalar
-// references. (The suites keep the names of the scoring mirror that the
-// grid's rows replaced.)
+// oracle's rectangle-and-direct-eval loop (tests/oracle.h) across models;
+// row and aggregate consistency under index churn; and the range
+// classification kernels against branchy references. (The suites keep the
+// names of the scoring mirror that the grid's rows replaced.)
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,7 +24,6 @@
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
 #include "reachability/kernel.h"
-#include "runtime/thread_pool.h"
 #include "stats/rng.h"
 
 namespace scguard::assign {
@@ -40,19 +37,9 @@ Workload NoisyWorkload(int n, uint64_t seed) {
   return oracle::NoisyWorkload(n, n, seed);
 }
 
-/// The traffic-model counters, which must be pool/SIMD invariant too.
-void ExpectSameTraffic(const MatchResult& a, const MatchResult& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.metrics.u2u_gather_bytes, b.metrics.u2u_gather_bytes) << label;
-  EXPECT_EQ(a.metrics.cells_emitted_direct, b.metrics.cells_emitted_direct)
-      << label;
-}
-
-// The acceptance sweep: for three models and pruning off / on (the
-// cell-row path), the engine must reproduce the oracle's MatchResult and
-// caller RNG stream bit for bit under forced-scalar and auto SIMD dispatch
-// and pools {serial, 1, 8}; and the traffic counters themselves must be
-// pool/SIMD invariant.
+// The acceptance sweep: for three models and pruning off / on, the engine
+// must reproduce the oracle's MatchResult and caller RNG stream bit for
+// bit. (The name predates the deleted SIMD and pool settings.)
 TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   const reachability::AnalyticalModel analytical(kDefault);
   const reachability::BinaryModel binary;
@@ -64,12 +51,6 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
       reachability::EmpiricalModel::Build(econfig, kDefault, build_rng);
 
   const Workload workload = NoisyWorkload(160, 20260808);
-
-  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
-  pools.push_back(nullptr);  // Serial.
-  for (const int threads : {1, 8}) {
-    pools.push_back(std::make_unique<runtime::ThreadPool>(threads));
-  }
 
   struct ModelCase {
     const char* name;
@@ -97,31 +78,8 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
       const oracle::Expected want = oracle::Expect(base, workload, 7);
       ASSERT_GT(want.result.metrics.assigned_tasks, 0)
           << mc.name << "/" << pruner;
-
-      // Serial forced-scalar baseline of the traffic counters.
-      reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
-      const MatchResult baseline = oracle::ExpectEngineMatches(
-          want, base, workload, 7, std::string(mc.name) + "/" + pruner);
-      reachability::ResetClassifySimd();
-
-      for (const bool force_scalar : {true, false}) {
-        for (const auto& pool : pools) {
-          EnginePolicy policy = base;
-          policy.runtime.pool = pool.get();
-          policy.runtime.shard_size = 64;  // Must change nothing.
-          if (force_scalar) {
-            reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
-          }
-          const std::string label =
-              std::string(mc.name) + "/" + pruner +
-              " simd=" + (force_scalar ? "scalar" : "auto") +
-              " threads=" + std::to_string(pool ? pool->num_threads() : 0);
-          ExpectSameTraffic(baseline, oracle::ExpectEngineMatches(
-                                          want, policy, workload, 7, label),
-                            label);
-          reachability::ResetClassifySimd();
-        }
-      }
+      oracle::ExpectEngineMatches(want, base, workload, 7,
+                                  std::string(mc.name) + "/" + pruner);
     }
   }
 }
@@ -686,8 +644,8 @@ TEST(RangeKernelTest, ScalarMatchesReferenceAndAppends) {
       std::vector<uint32_t> accept_ref = {111}, band_ref = {222};
       std::vector<uint32_t> accept = {111}, band = {222};
       ReferenceRange(m, begin, count, tx, ty, accept_ref, band_ref);
-      reachability::ClassifyCertainBandRangeScalar(m, begin, count, tx, ty,
-                                                   accept, band);
+      reachability::ClassifyCertainBandRange(m, begin, count, tx, ty, accept,
+                                             band);
       const std::string label =
           "count=" + std::to_string(count) + " mode=" + std::to_string(mode);
       EXPECT_EQ(accept, accept_ref) << label;
@@ -702,7 +660,7 @@ TEST(RangeKernelTest, ScalarMatchesReferenceAndAppends) {
       const size_t admitted_ref =
           ReferenceRangeRect(m, begin, count, tx, ty, q_min_x, q_min_y,
                              q_max_x, q_max_y, accept_ref, band_ref);
-      const size_t admitted = reachability::ClassifyCertainBandRangeRectScalar(
+      const size_t admitted = reachability::ClassifyCertainBandRangeRect(
           m, begin, count, tx, ty, q_min_x, q_min_y, q_max_x, q_max_y, accept,
           band);
       EXPECT_EQ(admitted, admitted_ref) << label;
@@ -711,53 +669,6 @@ TEST(RangeKernelTest, ScalarMatchesReferenceAndAppends) {
     }
   }
 }
-
-#if defined(SCGUARD_HAVE_AVX2)
-TEST(RangeKernelTest, Avx2MatchesScalarBitIdentically) {
-  if (!reachability::CpuSupportsAvx2()) {
-    GTEST_SKIP() << "host CPU lacks AVX2";
-  }
-  stats::Rng rng(20260812);
-  for (const size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                             size_t{4}, size_t{5}, size_t{7}, size_t{8},
-                             size_t{13}, size_t{16}, size_t{33}, size_t{64},
-                             size_t{257}}) {
-    for (int mode = 0; mode < 4; ++mode) {
-      const auto m = ClassifierRows(count + 8, mode, rng);
-      const size_t begin = count > 2 ? 5 : 0;  // Unaligned range starts.
-      const double tx = rng.UniformDouble(0.0, 20000.0);
-      const double ty = rng.UniformDouble(0.0, 20000.0);
-      std::vector<uint32_t> accept_s = {7}, band_s = {9};
-      std::vector<uint32_t> accept_v = {7}, band_v = {9};
-      reachability::ClassifyCertainBandRangeScalar(m, begin, count, tx, ty,
-                                                   accept_s, band_s);
-      reachability::ClassifyCertainBandRangeAvx2(m, begin, count, tx, ty,
-                                                 accept_v, band_v);
-      const std::string label =
-          "count=" + std::to_string(count) + " mode=" + std::to_string(mode);
-      EXPECT_EQ(accept_s, accept_v) << label;
-      EXPECT_EQ(band_s, band_v) << label;
-
-      const double q_min_x = tx - 3000.0, q_max_x = tx + 3000.0;
-      const double q_min_y = ty - 3000.0, q_max_y = ty + 3000.0;
-      accept_s.assign({7});
-      band_s.assign({9});
-      accept_v.assign({7});
-      band_v.assign({9});
-      const size_t admitted_s =
-          reachability::ClassifyCertainBandRangeRectScalar(
-              m, begin, count, tx, ty, q_min_x, q_min_y, q_max_x, q_max_y,
-              accept_s, band_s);
-      const size_t admitted_v = reachability::ClassifyCertainBandRangeRectAvx2(
-          m, begin, count, tx, ty, q_min_x, q_min_y, q_max_x, q_max_y,
-          accept_v, band_v);
-      EXPECT_EQ(admitted_s, admitted_v) << label;
-      EXPECT_EQ(accept_s, accept_v) << label;
-      EXPECT_EQ(band_s, band_v) << label;
-    }
-  }
-}
-#endif  // SCGUARD_HAVE_AVX2
 
 }  // namespace
 }  // namespace scguard::assign

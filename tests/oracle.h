@@ -3,8 +3,8 @@
 
 // The naive test oracle: the SCGuard protocol (paper Fig. 2, Alg. 1/2)
 // written as plainly as possible, with none of the production fast paths —
-// no threshold inversion, no pruning index, no cell mirror, no active sets,
-// no shards, no SIMD, no batched scoring. Every production configuration
+// no threshold inversion, no pruning index, no cell rows, no active sets,
+// no batched scoring. Every production configuration
 // of ScGuardEngine and AssignmentService is diffed against it
 // (tests/oracle_test.cc): same MatchResult, same RNG stream, same audit
 // counts. The gtest helpers at the end are the diff itself.
@@ -68,8 +68,7 @@ class NaiveU2u {
 /// the list with a full std::sort under ScoreDescIdAscLess; E2E is
 /// E2eContactStage. A report re-points the worker and, when
 /// `reactivate_on_report`, makes it available again. Honors every policy
-/// field except kernel.u2e_lut (the oracle scores exactly) and the
-/// runtime knobs (it has no parallelism).
+/// field except kernel.u2e_lut (the oracle scores exactly).
 assign::MatchResult Run(const assign::EnginePolicy& policy,
                         const geo::BoundingBox& region,
                         std::vector<assign::Worker> workers,

@@ -3,12 +3,11 @@
 // implementation of the protocol. The determinism contract under test: for
 // a fixed policy and event sequence, MatchResult, the caller's RNG stream
 // and the privacy audit counts are bit-identical to the oracle's for every
-// model, pruning setting, pool, shard size, SIMD dispatch and beta mode.
+// model, pruning setting and beta mode.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,8 +19,6 @@
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
-#include "reachability/kernel.h"
-#include "runtime/thread_pool.h"
 #include "service/service.h"
 #include "stats/rng.h"
 
@@ -105,16 +102,10 @@ const reachability::BinaryModel* OracleDiffTest::binary_ = nullptr;
 const reachability::AnalyticalModel* OracleDiffTest::analytical_ = nullptr;
 const reachability::EmpiricalModel* OracleDiffTest::empirical_ = nullptr;
 
-// The engine matrix: model x pruning {none, grid} x pool {serial, 2, 8} x
-// shard {64, 4096} x SIMD {avx2, scalar} x beta mode, each cell against
-// the oracle's result for its (model, pruning, beta mode).
+// The engine matrix: model x pruning {none, grid} x beta mode, each cell
+// against the oracle's result.
 TEST_F(OracleDiffTest, EngineMatchesOracleAcrossConfigurations) {
   const assign::Workload workload = NoisyWorkload(240, 240, 20260901);
-  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
-  pools.push_back(nullptr);  // Serial.
-  for (const int threads : {2, 8}) {
-    pools.push_back(std::make_unique<runtime::ThreadPool>(threads));
-  }
 
   for (const ModelCase& mc : Models()) {
     for (const bool prune : {false, true}) {
@@ -124,34 +115,15 @@ TEST_F(OracleDiffTest, EngineMatchesOracleAcrossConfigurations) {
         assign::EnginePolicy policy = Policy(mc);
         policy.beta_mode = beta_mode;
         if (prune) policy.pruning_gamma = 0.9;
-        const std::string base_label =
+        const std::string label =
             std::string(mc.name) + (prune ? " grid" : " unpruned") +
             (beta_mode == assign::BetaMode::kEveryContact ? " beta=every"
                                                           : " beta=first");
 
         const oracle::Expected want = oracle::Expect(policy, workload, 7);
-        ASSERT_GT(want.result.metrics.assigned_tasks, 0) << base_label;
-        ASSERT_GT(want.audit.e2e_disclosures, 0) << base_label;
-
-        for (const auto& pool : pools) {
-          for (const int shard_size : {64, 4096}) {
-            for (const auto simd : {reachability::ClassifySimd::kAvx2,
-                                    reachability::ClassifySimd::kScalar}) {
-              policy.runtime.pool = pool.get();
-              policy.runtime.shard_size = shard_size;
-              reachability::SetClassifySimd(simd);
-              oracle::ExpectEngineMatches(
-                  want, policy, workload, 7,
-                  base_label + " threads=" +
-                      std::to_string(pool ? pool->num_threads() : 0) +
-                      " shard=" + std::to_string(shard_size) +
-                      (simd == reachability::ClassifySimd::kScalar
-                           ? " simd=scalar"
-                           : " simd=avx2"));
-              reachability::ResetClassifySimd();
-            }
-          }
-        }
+        ASSERT_GT(want.result.metrics.assigned_tasks, 0) << label;
+        ASSERT_GT(want.audit.e2e_disclosures, 0) << label;
+        oracle::ExpectEngineMatches(want, policy, workload, 7, label);
       }
     }
   }
@@ -218,12 +190,11 @@ std::vector<service::ServiceEvent> ToServiceLog(
 }
 
 // The service's Replay over a log with re-reports, with and without
-// reactivation: model x pruning x reactivation x pool {serial, 2}.
+// reactivation: model x pruning x reactivation.
 TEST_F(OracleDiffTest, ServiceReplayMatchesOracleWithReports) {
   const assign::Workload workload = NoisyWorkload(200, 160, 20260903);
   const std::vector<oracle::Event> events = ReportingLog(workload, 11);
   const std::vector<service::ServiceEvent> log = ToServiceLog(events);
-  runtime::ThreadPool pool(2);
 
   for (const ModelCase& mc : Models()) {
     for (const bool prune : {false, true}) {
@@ -235,7 +206,7 @@ TEST_F(OracleDiffTest, ServiceReplayMatchesOracleWithReports) {
         config.region = workload.region;
         config.reactivate_on_report = reactivate;
         config.rank_seed = 99;
-        const std::string base_label =
+        const std::string label =
             std::string(mc.name) + (prune ? " grid" : " unpruned") +
             (reactivate ? " reactivate" : " no-reactivate");
 
@@ -244,38 +215,31 @@ TEST_F(OracleDiffTest, ServiceReplayMatchesOracleWithReports) {
             config, workload.region, workload.workers, events, oracle_rng,
             reactivate);
         const obs::AuditTotals want_audit = oracle::DrainAudit();
-        ASSERT_GT(want.metrics.assigned_tasks, 0) << base_label;
+        ASSERT_GT(want.metrics.assigned_tasks, 0) << label;
 
-        for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(
-                                           nullptr),
-                                       &pool}) {
-          config.runtime.pool = p;
-          service::AssignmentService svc(config);
-          for (const assign::Worker& w : workload.workers) {
-            svc.RegisterWorker(w);
-          }
-          svc.Replay(log);
-          const std::string label =
-              base_label + (p != nullptr ? " threads=2" : " serial");
-          assign::MatchResult got;
-          got.assignments = svc.assignments();
-          got.metrics = svc.metrics();
-          ExpectSameResult(want, got, label);
-          ExpectSameAudit(want_audit, oracle::DrainAudit(), label);
-          // Each completion names the task's first accepting worker.
-          size_t next = 0;
-          for (const service::CompletionRecord& c : svc.completions()) {
-            if (next < want.assignments.size() &&
-                want.assignments[next].task_id == c.task_id) {
-              EXPECT_EQ(c.worker_id, want.assignments[next].worker_id)
-                  << label;
-              ++next;
-            } else {
-              EXPECT_EQ(c.worker_id, -1) << label;
-            }
-          }
-          EXPECT_EQ(next, want.assignments.size()) << label;
+        service::AssignmentService svc(config);
+        for (const assign::Worker& w : workload.workers) {
+          svc.RegisterWorker(w);
         }
+        svc.Replay(log);
+        assign::MatchResult got;
+        got.assignments = svc.assignments();
+        got.metrics = svc.metrics();
+        ExpectSameResult(want, got, label);
+        ExpectSameAudit(want_audit, oracle::DrainAudit(), label);
+        // Each completion names the task's first accepting worker.
+        size_t next = 0;
+        for (const service::CompletionRecord& c : svc.completions()) {
+          if (next < want.assignments.size() &&
+              want.assignments[next].task_id == c.task_id) {
+            EXPECT_EQ(c.worker_id, want.assignments[next].worker_id)
+                << label;
+            ++next;
+          } else {
+            EXPECT_EQ(c.worker_id, -1) << label;
+          }
+        }
+        EXPECT_EQ(next, want.assignments.size()) << label;
       }
     }
   }
